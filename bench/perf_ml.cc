@@ -680,10 +680,13 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, bool smoke) {
     ctx.report().RecordMetric("bagging_imbalance_4t",
                               bagging_profile.imbalance);
 
-    // Gradient-boosting histogram build + split scan. The serialized
-    // ensembles must match byte-for-byte — the boosting determinism
-    // contract on paper-scale data. (Smoke data sits below the executor
-    // row cutoff, so the smoke ratio hovers near 1x by design.)
+    // Gradient-boosting growth engine (per-level routing, histogram and
+    // split-scan batches). The serialized ensembles must match
+    // byte-for-byte — the boosting determinism contract on paper-scale
+    // data. (At this size every engine batch is under the work cutoff
+    // and runs inline; only HistogramIndex binning uses the pool, so the
+    // ratio hovers near 1x by design.) The profiler window covers the
+    // threaded leg, like the cv and bagging ones.
     ml::GradientBoostedTreesParams gbt_ab;
     gbt_ab.num_trees = smoke ? 4 : 16;
     gbt_ab.max_depth = 4;
@@ -695,12 +698,14 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, bool smoke) {
       }
     });
     gbt_ab.executor = &pool;
+    profiler.Begin(pool.concurrency());
     const double gbt_parallel_ms = timed_ms("gbt_4_threads", [&] {
       ml::GradientBoostedTrees model(gbt_ab);
       if (model.Fit(ds, "crash_prone_gt8", features, all_rows).ok()) {
         gbt_parallel_text = model.Serialize();
       }
     });
+    const exec::PoolProfile gbt_profile = profiler.Finish("exec.gbt");
     if (gbt_serial_text.empty() || gbt_serial_text != gbt_parallel_text) {
       obs::LogError(kFailTag,
                     {{"stage", "gbt_speedup"},
@@ -709,11 +714,15 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, bool smoke) {
     }
     ctx.report().RecordMetric("gbt_speedup_4t",
                               gbt_serial_ms / gbt_parallel_ms);
+    ctx.report().RecordMetric("gbt_busy_fraction_4t",
+                              gbt_profile.busy_fraction_mean);
+    ctx.report().RecordMetric("gbt_imbalance_4t", gbt_profile.imbalance);
 
     obs::JsonWriter profile;
     profile.BeginObject();
     profile.Key("cv").Raw(cv_profile.ToJson());
     profile.Key("bagging").Raw(bagging_profile.ToJson());
+    profile.Key("gbt").Raw(gbt_profile.ToJson());
     profile.EndObject();
     ctx.report().RecordSection("profile", profile.str());
     pool.AttachProfiler(nullptr);  // Detach before the profiler dies.

@@ -1,12 +1,14 @@
 #include "ml/gradient_boosting.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <utility>
 
 #include "exec/executor.h"
 #include "ml/histogram_index.h"
@@ -25,13 +27,34 @@ using util::Status;
 
 namespace {
 
+using FeatureBins = HistogramIndex::FeatureBins;
+
 double Sigmoid(double margin) { return 1.0 / (1.0 + std::exp(-margin)); }
 
-// Engage the executor for histogram builds / split scans only at nodes at
-// least this large (same rationale and value as the exact-greedy trees:
-// the cutoff depends only on the node's row count, never the thread
-// count, and per-feature work merges in feature order regardless).
-constexpr size_t kParallelMinRows = 4096;
+// Fit positions are 32-bit; the top value marks a position a tree did
+// not sample.
+constexpr size_t kMaxFitRows = std::numeric_limits<uint32_t>::max();
+constexpr uint32_t kUnsampled = std::numeric_limits<uint32_t>::max();
+
+// An engine batch runs on the executor only when its serial work is worth
+// at least kParallelMinWork histogram updates (about half a millisecond);
+// below that, waking the workers costs more than they save. The weights
+// price one element of the other batches in histogram updates. All of it
+// depends only on the input, never on the thread count, and none of it
+// changes any result.
+constexpr size_t kParallelMinWork = size_t{1} << 18;
+constexpr size_t kGradientWork = 8;  // Per position: a sigmoid.
+constexpr size_t kRouteWork = 2;     // Per position: a routing step.
+
+Status CheckBoostingParams(const GradientBoostedTreesParams& params) {
+  if (params.num_trees == 0) {
+    return InvalidArgumentError("num_trees must be positive");
+  }
+  if (params.learning_rate <= 0.0) {
+    return InvalidArgumentError("learning_rate must be positive");
+  }
+  return Status::Ok();
+}
 
 // One candidate split of one node; merged across features in feature
 // order with a strict gain comparison.
@@ -40,78 +63,65 @@ struct SplitCand {
   double gain = 0.0;
   size_t feature = 0;  // Index into the fit's feature list.
   double threshold = 0.0;
-  // Numeric only: the bin index of `threshold` (cut "bin <= threshold_bin").
-  // Lets the paged fit route rows by code without touching raw values.
+  // Numeric only: the bin index of `threshold` (cut "bin <= threshold_bin"),
+  // so training routes rows by code without touching raw values.
   size_t threshold_bin = 0;
   std::vector<uint8_t> left_categories;
   bool missing_goes_left = true;
+  // Rows the split sends left: an exact integer, read off the histogram.
+  double left_count = 0.0;
 };
 
-// Per-node gradient/hessian histogram over the active features: flat
-// (g, h, count) arrays where active feature a owns slots
+// Per-node gradient/hessian histogram over the active features: (g, h,
+// count) per slot, interleaved, where active feature a owns slots
 // [offset[a], offset[a] + num_bins], the last slot holding the missing
 // rows. Subtractable: parent - smaller child = larger child, slot-wise.
-struct NodeHist {
-  std::vector<double> g, h, cnt;
+using NodeHist = std::vector<double>;
 
-  void Allocate(size_t slots) {
-    g.assign(slots, 0.0);
-    h.assign(slots, 0.0);
-    cnt.assign(slots, 0.0);
-  }
-  void SubtractFrom(const NodeHist& parent, const NodeHist& sibling) {
-    const size_t slots = parent.g.size();
-    g.resize(slots);
-    h.resize(slots);
-    cnt.resize(slots);
-    for (size_t s = 0; s < slots; ++s) {
-      g[s] = parent.g[s] - sibling.g[s];
-      h[s] = parent.h[s] - sibling.h[s];
-      cnt[s] = parent.cnt[s] - sibling.cnt[s];
-    }
-  }
-};
-
-// Shared state for growing one boosted tree. The split scan sees only
-// per-feature FeatureBins (not a HistogramIndex), so the in-RAM and
-// paged fits share it: the former points into its HistogramIndex, the
-// latter into bins it derived from the stream.
+// The binning and slot layout of the tree being grown.
 struct TreeContext {
-  const std::vector<FeatureRef>* features = nullptr;
   const GradientBoostedTreesParams* params = nullptr;
-  // Binning per feature index (parallel to *features).
-  std::vector<const HistogramIndex::FeatureBins*> feature_bins;
-  const std::vector<double>* grad = nullptr;  // By dataset row id.
-  const std::vector<double>* hess = nullptr;
+  // Binning per feature index (parallel to the fit's feature list).
+  std::vector<const FeatureBins*> feature_bins;
   std::vector<size_t> active;  // Feature indices this tree may split on.
   std::vector<size_t> offset;  // Slot offset per active feature.
   size_t total_slots = 0;
 };
 
-// Accumulates the histogram of `rows`. Each active feature writes only
-// its own slot range and sums in row order, so an executor changes
-// nothing but speed.
-Status BuildHist(const TreeContext& ctx, const std::vector<size_t>& rows,
-                 NodeHist* out) {
-  out->Allocate(ctx.total_slots);
-  exec::Executor* executor =
-      rows.size() >= kParallelMinRows ? ctx.params->executor : nullptr;
-  return exec::ParallelFor(
-      executor, ctx.active.size(), [&](size_t a) -> Status {
-        const HistogramIndex::FeatureBins& bins =
-            *ctx.feature_bins[ctx.active[a]];
-        const size_t base = ctx.offset[a];
-        const size_t miss = base + bins.num_bins;
-        for (size_t r : rows) {
-          const uint16_t code = bins.codes[r];
-          const size_t slot =
-              code == HistogramIndex::kMissingBin ? miss : base + code;
-          out->g[slot] += (*ctx.grad)[r];
-          out->h[slot] += (*ctx.hess)[r];
-          out->cnt[slot] += 1.0;
-        }
-        return Status::Ok();
-      });
+// Adds the positions list[first, last) of one node to active feature a's
+// slot range of `hist`, in list order; gh holds (g, h) per position and
+// `codes` the feature's codes of the positions from `base` on. The task
+// works on a private copy of the range (copy in, add, copy out): in the
+// shared histogram the few-slot ranges of categorical and low-cardinality
+// features share cache lines, and concurrent feature tasks writing them
+// stall on each other.
+void AccumulateFeature(const TreeContext& ctx, size_t a, const uint16_t* codes,
+                       size_t base, const std::vector<uint32_t>& list,
+                       size_t first, size_t last,
+                       const std::vector<double>& gh, NodeHist& hist) {
+  const size_t width = ctx.feature_bins[ctx.active[a]]->num_bins + 1;
+  const size_t offset = ctx.offset[a];
+  // (g, h, count) per slot, on the stack for the usual bin counts: a
+  // worker-thread allocation would stay cached in that thread's arena.
+  constexpr size_t kStackSlots = 257;
+  std::array<double, 3 * kStackSlots> on_stack;
+  std::vector<double> on_heap;
+  double* local = on_stack.data();
+  if (width > kStackSlots) {
+    on_heap.resize(3 * width);
+    local = on_heap.data();
+  }
+  std::copy(hist.begin() + 3 * offset, hist.begin() + 3 * (offset + width),
+            local);
+  for (size_t k = first; k < last; ++k) {
+    const uint32_t pos = list[k];
+    const uint16_t code = codes[pos - base];
+    const size_t slot = code == HistogramIndex::kMissingBin ? width - 1 : code;
+    local[3 * slot] += gh[2 * pos];
+    local[3 * slot + 1] += gh[2 * pos + 1];
+    local[3 * slot + 2] += 1.0;
+  }
+  std::copy(local, local + 3 * width, hist.begin() + 3 * offset);
 }
 
 // xgboost structure gain of a (GL, HL) / (GR, HR) partition relative to
@@ -128,14 +138,17 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
                       double node_g, double node_h, double node_cnt) {
   const GradientBoostedTreesParams& params = *ctx.params;
   const size_t f = ctx.active[a];
-  const HistogramIndex::FeatureBins& bins = *ctx.feature_bins[f];
+  const FeatureBins& bins = *ctx.feature_bins[f];
   SplitCand best;
   best.gain = params.gamma;  // Strict >: a split must beat gamma.
   if (bins.constant || bins.num_bins < 2) return best;
 
+  auto g = [&](size_t slot) { return hist[3 * slot]; };
+  auto h = [&](size_t slot) { return hist[3 * slot + 1]; };
+  auto cnt = [&](size_t slot) { return hist[3 * slot + 2]; };
   const size_t base = ctx.offset[a];
   const size_t miss = base + bins.num_bins;
-  const double gm = hist.g[miss], hm = hist.h[miss], cm = hist.cnt[miss];
+  const double gm = g(miss), hm = h(miss), cm = cnt(miss);
   const double parent_term =
       0.5 * node_g * node_g / (node_h + params.lambda);
 
@@ -161,6 +174,7 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
         best.gain = gain;
         best.feature = f;
         best.missing_goes_left = dir == 0;
+        best.left_count = cl;
         record();
       }
     }
@@ -169,10 +183,10 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
   if (bins.is_numeric) {
     double cum_g = 0.0, cum_h = 0.0, cum_c = 0.0;
     for (size_t b = 0; b + 1 < bins.num_bins; ++b) {
-      cum_g += hist.g[base + b];
-      cum_h += hist.h[base + b];
-      cum_c += hist.cnt[base + b];
-      if (hist.cnt[base + b] <= 0.0) continue;  // Same partition as b-1.
+      cum_g += g(base + b);
+      cum_h += h(base + b);
+      cum_c += cnt(base + b);
+      if (cnt(base + b) <= 0.0) continue;  // Same partition as b-1.
       try_cut(cum_g, cum_h, cum_c, [&] {
         best.threshold = bins.upper[b];
         best.threshold_bin = b;
@@ -187,20 +201,20 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
   // like the numeric bins. Level index breaks ties for determinism.
   std::vector<size_t> order;
   for (size_t level = 0; level < bins.num_bins; ++level) {
-    if (hist.cnt[base + level] > 0.0) order.push_back(level);
+    if (cnt(base + level) > 0.0) order.push_back(level);
   }
   if (order.size() < 2) return best;
   std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-    const double rx = hist.g[base + x] / (hist.h[base + x] + params.lambda);
-    const double ry = hist.g[base + y] / (hist.h[base + y] + params.lambda);
+    const double rx = g(base + x) / (h(base + x) + params.lambda);
+    const double ry = g(base + y) / (h(base + y) + params.lambda);
     if (rx != ry) return rx < ry;
     return x < y;
   });
   double cum_g = 0.0, cum_h = 0.0, cum_c = 0.0;
   for (size_t j = 0; j + 1 < order.size(); ++j) {
-    cum_g += hist.g[base + order[j]];
-    cum_h += hist.h[base + order[j]];
-    cum_c += hist.cnt[base + order[j]];
+    cum_g += g(base + order[j]);
+    cum_h += h(base + order[j]);
+    cum_c += cnt(base + order[j]);
     try_cut(cum_g, cum_h, cum_c, [&] {
       best.left_categories.assign(bins.num_bins, 0);
       for (size_t jj = 0; jj <= j; ++jj) {
@@ -211,37 +225,12 @@ SplitCand ScanFeature(const TreeContext& ctx, const NodeHist& hist, size_t a,
   return best;
 }
 
-// Merges the per-feature winners in active-feature order; strict > makes
-// the merge independent of how the scans were scheduled.
-Result<SplitCand> FindBestSplit(const TreeContext& ctx, const NodeHist& hist,
-                                double node_g, double node_h,
-                                double node_cnt, size_t node_rows) {
-  std::vector<SplitCand> cands(ctx.active.size());
-  exec::Executor* executor =
-      node_rows >= kParallelMinRows ? ctx.params->executor : nullptr;
-  ROADMINE_RETURN_IF_ERROR(exec::ParallelFor(
-      executor, ctx.active.size(), [&](size_t a) -> Status {
-        cands[a] = ScanFeature(ctx, hist, a, node_g, node_h, node_cnt);
-        return Status::Ok();
-      }));
-  SplitCand best;
-  best.gain = ctx.params->gamma;
-  for (SplitCand& cand : cands) {
-    if (cand.valid && cand.gain > best.gain) best = std::move(cand);
-  }
-  return best;
-}
-
-// ---------------------------------------------------------------------------
-// Paged-fit machinery.
-// ---------------------------------------------------------------------------
-
-// Bins one page column of `count` rows into codes, exactly as
+// Bins one chunk column of `count` rows into codes, exactly as
 // HistogramIndex does over the full column: NaN / negative code ->
 // kMissingBin, numeric values -> lower_bound over the cut values clamped
 // into the last bin.
-void BinPage(const HistogramIndex::FeatureBins& bins, const data::Column& col,
-             size_t count, uint16_t* out) {
+void BinPage(const FeatureBins& bins, const data::Column& col, size_t count,
+             uint16_t* out) {
   if (bins.is_numeric) {
     const std::vector<double>& numeric = col.numeric_values();
     for (size_t r = 0; r < count; ++r) {
@@ -264,95 +253,523 @@ void BinPage(const HistogramIndex::FeatureBins& bins, const data::Column& col,
   }
 }
 
-// Supplies bin codes for every training sweep. When the full code matrix
-// fits the cache budget, the source is read and binned once; otherwise
-// every Sweep() re-streams and re-bins it. Either way the callback sees
-// the same rows in the same ascending order, so sweep results are
-// identical — only the pass count differs.
-class PagedCodes {
- public:
-  PagedCodes(data::RowSource& source, const std::vector<FeatureRef>& features,
-             const std::vector<HistogramIndex::FeatureBins>& bins,
-             size_t total_rows, size_t cache_budget_bytes)
-      : source_(source),
-        features_(features),
-        bins_(bins),
-        total_rows_(total_rows) {
-    const uint64_t need = static_cast<uint64_t>(features.size()) *
-                          static_cast<uint64_t>(total_rows) * sizeof(uint16_t);
-    cached_ = need <= cache_budget_bytes;
+// Calls fn(base, chunk) for every chunk of `source` from its start, base
+// being the chunk's first row.
+template <typename Fn>
+Status ForEachChunk(data::RowSource& source, Fn&& fn) {
+  ROADMINE_RETURN_IF_ERROR(source.Reset());
+  for (size_t base = 0;;) {
+    auto chunk = source.Next();
+    if (!chunk.ok()) return chunk.status();
+    if (*chunk == nullptr) return Status::Ok();
+    ROADMINE_RETURN_IF_ERROR(fn(base, **chunk));
+    base += (*chunk)->num_rows();
   }
+}
 
-  bool cached() const { return cached_; }
+// Bin codes by fit position for every sweep of the growth engine. An
+// in-RAM fit, and a paged fit whose code matrix fits its cache budget,
+// hold every code and hand out one block; a streaming paged fit re-reads
+// and re-bins its source, one block per chunk. Blocks arrive in
+// ascending position order either way, so every result is identical and
+// only the pass count differs.
+class CodeSweep {
+ public:
+  // fn(base, rows, codes): codes[f][i] is feature f's code at fit
+  // position base + i, for i < rows.
+  using BlockFn = std::function<Status(
+      size_t base, size_t rows, const std::vector<const uint16_t*>& codes)>;
 
-  // Calls fn(first_row, row_count, codes) over consecutive blocks covering
-  // rows [0, total_rows); codes[f] holds row_count codes of feature f.
-  Status Sweep(const std::function<void(size_t, size_t,
-                                        const std::vector<const uint16_t*>&)>&
-                   fn) {
-    if (cached_) {
-      ROADMINE_RETURN_IF_ERROR(EnsureCache());
-      std::vector<const uint16_t*> ptrs(features_.size());
-      for (size_t f = 0; f < features_.size(); ++f) {
-        ptrs[f] = cache_[f].data();
-      }
-      fn(0, total_rows_, ptrs);
-      return Status::Ok();
+  // In RAM: codes[f][i] is feature f's code at fit position i.
+  CodeSweep(std::vector<const FeatureBins*> bins, size_t rows,
+            std::vector<const uint16_t*> codes)
+      : bins_(std::move(bins)), rows_(rows), block_(std::move(codes)) {}
+
+  // Paged: bins `features` of every chunk of `source` on the calling
+  // thread (binning on the pool beside the source's page prefetch grew
+  // the workers' malloc arenas). With `cache`, the first sweep keeps the
+  // codes and later sweeps reuse them.
+  CodeSweep(std::vector<const FeatureBins*> bins, size_t rows,
+            data::RowSource& source, const std::vector<FeatureRef>& features,
+            bool cache)
+      : bins_(std::move(bins)),
+        rows_(rows),
+        source_(&source),
+        features_(&features),
+        cache_(cache) {}
+
+  const std::vector<const FeatureBins*>& bins() const { return bins_; }
+
+  Status Sweep(const BlockFn& fn) {
+    if (source_ == nullptr || cached_) return fn(0, rows_, block_);
+    codes_.resize(bins_.size());
+    block_.resize(bins_.size());
+    size_t seen = 0;
+    ROADMINE_RETURN_IF_ERROR(ForEachChunk(
+        *source_, [&](size_t base, const data::Dataset& chunk) -> Status {
+          const size_t rows = chunk.num_rows();
+          seen = base + rows;
+          if (seen > rows_) return Status::Ok();  // Reported below.
+          for (size_t f = 0; f < bins_.size(); ++f) {
+            codes_[f].resize(cache_ ? rows_ : rows);
+            block_[f] = codes_[f].data();
+            BinPage(*bins_[f], chunk.column((*features_)[f].column_index),
+                    rows, codes_[f].data() + (cache_ ? base : 0));
+          }
+          return cache_ ? Status::Ok() : fn(base, rows, block_);
+        }));
+    if (seen != rows_) {
+      return util::DataLossError("row source changed size between passes");
     }
-    std::vector<std::vector<uint16_t>> scratch(features_.size());
-    std::vector<const uint16_t*> ptrs(features_.size());
-    return Stream([&](size_t base, const data::Dataset& chunk) {
-      const size_t rows = chunk.num_rows();
-      for (size_t f = 0; f < features_.size(); ++f) {
-        scratch[f].resize(rows);
-        BinPage(bins_[f], chunk.column(features_[f].column_index), rows,
-                scratch[f].data());
-        ptrs[f] = scratch[f].data();
-      }
-      fn(base, rows, ptrs);
-    });
+    if (!cache_) return Status::Ok();
+    cached_ = true;
+    return fn(0, rows_, block_);
   }
 
  private:
-  Status EnsureCache() {
-    if (!cache_.empty()) return Status::Ok();
-    cache_.resize(features_.size());
-    for (auto& codes : cache_) codes.resize(total_rows_);
-    return Stream([&](size_t base, const data::Dataset& chunk) {
-      for (size_t f = 0; f < features_.size(); ++f) {
-        BinPage(bins_[f], chunk.column(features_[f].column_index),
-                chunk.num_rows(), cache_[f].data() + base);
-      }
-    });
-  }
-
-  template <typename Fn>
-  Status Stream(Fn&& fn) {
-    ROADMINE_RETURN_IF_ERROR(source_.Reset());
-    size_t base = 0;
-    while (true) {
-      auto chunk_result = source_.Next();
-      if (!chunk_result.ok()) return chunk_result.status();
-      const data::Dataset* chunk = *chunk_result;
-      if (chunk == nullptr) break;
-      fn(base, *chunk);
-      base += chunk->num_rows();
-    }
-    if (base != total_rows_) {
-      return util::DataLossError("row source changed size between passes");
-    }
-    return Status::Ok();
-  }
-
-  data::RowSource& source_;
-  const std::vector<FeatureRef>& features_;
-  const std::vector<HistogramIndex::FeatureBins>& bins_;
-  size_t total_rows_;
-  bool cached_ = false;
-  std::vector<std::vector<uint16_t>> cache_;  // [feature][row], if cached.
+  std::vector<const FeatureBins*> bins_;
+  size_t rows_ = 0;
+  std::vector<const uint16_t*> block_;
+  // Paged only.
+  data::RowSource* source_ = nullptr;
+  const std::vector<FeatureRef>* features_ = nullptr;
+  bool cache_ = false;
+  bool cached_ = false;  // codes_ holds every row.
+  // [feature][row]: every row when caching, else the current chunk's.
+  std::vector<std::vector<uint16_t>> codes_;
 };
 
 }  // namespace
+
+// The one growth engine behind Fit and FitPaged. Every per-row array is
+// indexed by fit position. A tree grows level by level, each level two
+// executor batches (FillLevel) whose tasks write only their own outputs
+// and add in ascending position order, so the model is the same at any
+// thread count, grain and chunking. A node's G/H is summed over its
+// positions directly (never read back from its histogram), so serial and
+// threaded sums match bit for bit.
+class GradientBoostedTrees::Grower {
+ public:
+  Grower(GradientBoostedTrees& model, const std::vector<int8_t>& labels,
+         CodeSweep& codes)
+      : model_(model), params_(model.params_), labels_(labels), codes_(codes) {
+    ctx_.params = &params_;
+    ctx_.feature_bins = codes.bins();
+  }
+
+  Status Run() {
+    const size_t n = labels_.size();
+    // Log-odds prior with the same Laplace smoothing the tree leaves use.
+    double positives = 0.0;
+    for (const int8_t label : labels_) positives += label;
+    const double prior =
+        (positives + 1.0) / (static_cast<double>(n) + 2.0);
+    model_.base_score_ = std::log(prior / (1.0 - prior));
+    model_.trees_.clear();
+    margin_.assign(n, 0.0);
+    gh_.assign(2 * n, 0.0);
+    leaf_.resize(n);
+    lists_.resize(n);
+    parent_lists_.resize(n);
+    for (size_t t = 0; t < params_.num_trees; ++t) {
+      ROADMINE_RETURN_IF_ERROR(GrowTree(t));
+    }
+    if (model_.trees_.empty()) {
+      return InvalidArgumentError(
+          "no trees were built (every round's row sample was empty)");
+    }
+    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+    metrics.GetCounter("ml.gbt.fits").Increment();
+    metrics.GetGauge("ml.gbt.trees").Set(
+        static_cast<double>(model_.trees_.size()));
+    metrics.GetGauge("ml.gbt.leaves").Set(
+        static_cast<double>(model_.total_leaves()));
+    return Status::Ok();
+  }
+
+ private:
+  // One node of the level being grown.
+  struct LiveNode {
+    int node = 0;  // Index into tree_.
+    int depth = 0;
+    // Its fit positions, ascending: lists_[begin, end) for level_,
+    // parent_lists_[begin, end) for parents_.
+    // A child's list fills up from `begin` while its parent is routed;
+    // children at the depth cap, which never split, get none.
+    size_t begin = 0, end = 0;
+    size_t count = 0;         // Its positions.
+    double g = 0.0, h = 0.0;  // Summed over its positions in order.
+    NodeHist hist;  // Allocated when it may split or is a family's `built`.
+  };
+
+  // The root alone, or the two children of one split. Member `built`
+  // accumulates its histogram from its positions; a sibling that may
+  // split derives its own as parents_[parent].hist - built's, feature by
+  // feature, right before scanning that feature.
+  struct Family {
+    size_t first = 0;  // level_ index of the first member.
+    size_t size = 1;
+    size_t built = 0;    // level_ index.
+    size_t parent = 0;   // parents_ index (splits only).
+    bool grown = false;  // Members get histograms.
+  };
+
+  bool Splittable(const LiveNode& live) const {
+    return live.depth < params_.max_depth && live.count >= 2;
+  }
+
+  // Batches with less work run inline: waking the executor would cost
+  // more than it saves.
+  exec::Executor* ExecutorFor(size_t work) const {
+    return work >= kParallelMinWork ? params_.executor : nullptr;
+  }
+
+  // A zeroed histogram, reusing a spent one's storage.
+  NodeHist NewHist() {
+    NodeHist hist;
+    if (!spare_hists_.empty()) {
+      hist = std::move(spare_hists_.back());
+      spare_hists_.pop_back();
+    }
+    hist.assign(3 * ctx_.total_slots, 0.0);
+    return hist;
+  }
+  void Recycle(std::vector<LiveNode>& nodes) {
+    for (LiveNode& live : nodes) {
+      if (!live.hist.empty()) spare_hists_.push_back(std::move(live.hist));
+    }
+    nodes.clear();
+  }
+
+  Status GrowTree(size_t t) {
+    const size_t n = labels_.size();
+    // Row and column draws come from child streams keyed by the round, so
+    // neither depends on scheduling or on the other's draw count.
+    util::Rng row_rng(util::Rng::SplitSeed(params_.seed, 2 * t));
+    util::Rng col_rng(util::Rng::SplitSeed(params_.seed, 2 * t + 1));
+
+    std::vector<uint32_t>& sample = lists_;
+    size_t sampled = n;
+    if (params_.subsample < 1.0) {
+      sampled = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (row_rng.Bernoulli(params_.subsample)) {
+          sample[sampled++] = static_cast<uint32_t>(i);
+        }
+      }
+      if (sampled == 0) return Status::Ok();  // No tree this round.
+    } else {
+      std::iota(sample.begin(), sample.end(), uint32_t{0});
+    }
+
+    const size_t num_features = ctx_.feature_bins.size();
+    ctx_.active.resize(num_features);
+    std::iota(ctx_.active.begin(), ctx_.active.end(), size_t{0});
+    if (params_.colsample < 1.0) {
+      const size_t keep = std::max<size_t>(
+          1, static_cast<size_t>(std::llround(
+                 params_.colsample * static_cast<double>(num_features))));
+      col_rng.Shuffle(ctx_.active);
+      ctx_.active.resize(std::min(keep, ctx_.active.size()));
+      std::sort(ctx_.active.begin(), ctx_.active.end());
+    }
+    ctx_.offset.clear();
+    ctx_.total_slots = 0;
+    for (size_t f : ctx_.active) {
+      ctx_.offset.push_back(ctx_.total_slots);
+      ctx_.total_slots += ctx_.feature_bins[f]->num_bins + 1;
+    }
+
+    // Gradient and hessian once per tree, for the sampled positions.
+    ROADMINE_RETURN_IF_ERROR(exec::ParallelForRanges(
+        ExecutorFor(sampled * kGradientWork), sampled,
+        [&](size_t begin, size_t end) -> Status {
+          for (size_t k = begin; k < end; ++k) {
+            const uint32_t i = sample[k];
+            const double p = Sigmoid(model_.base_score_ + margin_[i]);
+            gh_[2 * i] = p - static_cast<double>(labels_[i]);
+            gh_[2 * i + 1] = p * (1.0 - p);
+          }
+          return Status::Ok();
+        }));
+    LiveNode root;
+    root.end = root.count = sampled;
+    std::fill(leaf_.begin(), leaf_.end(), sampled == n ? 0 : kUnsampled);
+    for (size_t k = 0; k < sampled; ++k) {
+      const uint32_t i = sample[k];
+      root.g += gh_[2 * i];
+      root.h += gh_[2 * i + 1];
+      leaf_[i] = 0;
+    }
+
+    tree_.assign(1, Node{});
+    routes_.assign(1, {});
+    Recycle(parents_);
+    Recycle(level_);
+    Family family;
+    family.grown = Splittable(root);
+    if (family.grown) root.hist = NewHist();
+    level_.push_back(std::move(root));
+    families_.assign(1, family);
+    do {
+      ROADMINE_RETURN_IF_ERROR(FillLevel());
+      for (const LiveNode& live : level_) {
+        tree_[static_cast<size_t>(live.node)].leaf_value =
+            params_.learning_rate * (-live.g / (live.h + params_.lambda));
+      }
+      Split();
+    } while (!families_.empty());
+
+    // Every fit position moves by its leaf weight, sampled or not.
+    // Routing left each sampled position at its leaf; the others walk the
+    // tree by their codes.
+    ROADMINE_RETURN_IF_ERROR(codes_.Sweep(
+        [&](size_t base, size_t rows,
+            const std::vector<const uint16_t*>& codes) -> Status {
+          return exec::ParallelForRanges(
+              ExecutorFor(rows), rows, [&](size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i) {
+                  size_t id = leaf_[base + i] == kUnsampled ? 0 : leaf_[base + i];
+                  while (tree_[id].feature >= 0) {
+                    const Node& node = tree_[id];
+                    const auto f = static_cast<size_t>(node.feature);
+                    id = static_cast<size_t>(
+                        GoesLeft(id, codes[f][i]) ? node.left : node.right);
+                  }
+                  margin_[base + i] += tree_[id].leaf_value;
+                }
+                return Status::Ok();
+              });
+        }));
+    model_.trees_.push_back(std::move(tree_));
+    return Status::Ok();
+  }
+
+  // Whether split node `id` sends a row with bin `code` left.
+  bool GoesLeft(size_t id, uint16_t code) const {
+    const std::vector<uint8_t>& route = routes_[id];
+    return route[std::min<size_t>(code, route.size() - 1)] != 0;
+  }
+
+  // Fills level_ from one code sweep and scans it into cands_. Per block,
+  // two batches: (1) Route; (2) one task per (family, active feature)
+  // adding the built member's positions to that feature's slot range. In
+  // the last block the same task then derives the sibling's range and
+  // scans the feature for both members.
+  Status FillLevel() {
+    const size_t n = labels_.size();
+    const size_t num_active = ctx_.active.size();
+    cands_.assign(level_.size() * num_active, SplitCand{});
+    std::vector<size_t> grown;  // families_ indices.
+    for (size_t f = 0; f < families_.size(); ++f) {
+      if (families_[f].grown) grown.push_back(f);
+    }
+    return codes_.Sweep([&](size_t base, size_t rows,
+                            const std::vector<const uint16_t*>& codes)
+                            -> Status {
+      // The positions of lists[begin, end) that fall in this block.
+      auto in_block = [&](const std::vector<uint32_t>& lists, size_t begin,
+                          size_t end) {
+        const auto first = std::lower_bound(lists.begin() + begin,
+                                            lists.begin() + end, base);
+        const auto last =
+            std::lower_bound(first, lists.begin() + end, base + rows);
+        return std::pair<size_t, size_t>(first - lists.begin(),
+                                         last - lists.begin());
+      };
+      if (!parents_.empty()) {
+        ROADMINE_RETURN_IF_ERROR(Route(base, codes, in_block));
+      }
+      const bool last_block = base + rows == n;
+      size_t built_positions = 0;
+      for (const size_t f : grown) {
+        const LiveNode& built = level_[families_[f].built];
+        const auto [first, last] = in_block(lists_, built.begin, built.end);
+        built_positions += last - first;
+      }
+      return exec::ParallelFor(
+          ExecutorFor(built_positions * num_active), grown.size() * num_active,
+          [&](size_t task) -> Status {
+            const Family& family = families_[grown[task / num_active]];
+            const size_t a = task % num_active;
+            LiveNode& built = level_[family.built];
+            const auto [first, last] = in_block(lists_, built.begin, built.end);
+            AccumulateFeature(ctx_, a, codes[ctx_.active[a]], base, lists_,
+                              first, last, gh_, built.hist);
+            if (last_block) ScanFamily(family, a);
+            return Status::Ok();
+          },
+          {});
+    });
+  }
+
+  // Batch (1) of FillLevel for one block: one task per split walks its
+  // parent's positions in order, adding each to its child's G/H sums,
+  // leaf id and, above the depth cap, position list.
+  template <typename InBlock>
+  Status Route(size_t base, const std::vector<const uint16_t*>& codes,
+               const InBlock& in_block) {
+    std::vector<std::pair<size_t, size_t>> segments;  // Per family.
+    size_t positions = 0;
+    for (const Family& family : families_) {
+      const LiveNode& parent = parents_[family.parent];
+      segments.push_back(in_block(parent_lists_, parent.begin, parent.end));
+      positions += segments.back().second - segments.back().first;
+    }
+    return exec::ParallelFor(
+        ExecutorFor(positions * kRouteWork), families_.size(),
+        [&](size_t f) -> Status {
+          const Family& family = families_[f];
+          const LiveNode& parent = parents_[family.parent];
+          const auto id = static_cast<size_t>(parent.node);
+          const uint16_t* split_codes =
+              codes[static_cast<size_t>(tree_[id].feature)];
+          const bool lists = level_[family.first].depth < params_.max_depth;
+          // The split's scan sized each child's range of lists_.
+          const size_t limit[2] = {level_[family.first + 1].begin,
+                                   parent.begin + parent.count};
+          for (size_t k = segments[f].first; k < segments[f].second; ++k) {
+            const uint32_t pos = parent_lists_[k];
+            const size_t side = GoesLeft(id, split_codes[pos - base]) ? 0 : 1;
+            LiveNode& child = level_[family.first + side];
+            child.g += gh_[2 * pos];
+            child.h += gh_[2 * pos + 1];
+            ++child.count;
+            leaf_[pos] = static_cast<uint32_t>(child.node);
+            if (!lists) continue;
+            if (child.end == limit[side]) {
+              return util::DataLossError("row source changed between passes");
+            }
+            lists_[child.end++] = pos;
+          }
+          return Status::Ok();
+        },
+        {});
+  }
+
+  // Derives (when needed) and scans active feature a of every member of
+  // `family` that may split.
+  void ScanFamily(const Family& family, size_t a) {
+    const size_t num_active = ctx_.active.size();
+    for (size_t m = family.first; m < family.first + family.size; ++m) {
+      LiveNode& member = level_[m];
+      if (!Splittable(member)) continue;
+      if (m != family.built) {
+        const NodeHist& parent = parents_[family.parent].hist;
+        const NodeHist& built = level_[family.built].hist;
+        const size_t end = ctx_.offset[a] +
+                           ctx_.feature_bins[ctx_.active[a]]->num_bins + 1;
+        for (size_t s = 3 * ctx_.offset[a]; s < 3 * end; ++s) {
+          member.hist[s] = parent[s] - built[s];
+        }
+      }
+      cands_[m * num_active + a] =
+          ScanFeature(ctx_, member.hist, a, member.g, member.h,
+                      static_cast<double>(member.count));
+    }
+  }
+
+  // Keeps each scanned node's best candidate and makes the chosen
+  // splits' children the next level_ (families_ empty when none split).
+  // A split's children take over its parent's range of the list buffer.
+  void Split() {
+    const size_t num_active = ctx_.active.size();
+    Recycle(parents_);
+    std::vector<LiveNode> children;
+    std::vector<Family> families;
+    for (size_t i = 0; i < level_.size(); ++i) {
+      const LiveNode& parent = level_[i];
+      if (!Splittable(parent)) continue;
+      // Per-feature winners merge in feature order; strict > makes the
+      // merge independent of how the scans were scheduled.
+      SplitCand best;
+      best.gain = params_.gamma;
+      for (size_t a = 0; a < num_active; ++a) {
+        SplitCand& cand = cands_[i * num_active + a];
+        if (cand.valid && cand.gain > best.gain) best = std::move(cand);
+      }
+      if (!best.valid) continue;
+
+      const size_t left_id = tree_.size();
+      tree_.resize(left_id + 2);
+      routes_.resize(left_id + 2);
+      const auto id = static_cast<size_t>(parent.node);
+      Node& node = tree_[id];
+      node.feature = static_cast<int>(best.feature);
+      node.threshold = best.threshold;
+      node.left_categories = std::move(best.left_categories);
+      node.missing_goes_left = best.missing_goes_left;
+      node.left = static_cast<int>(left_id);
+      node.right = static_cast<int>(left_id + 1);
+      // Training routes by bin code. A numeric cut at bin b sends codes
+      // <= b left, which is serving's `value <= threshold` because every
+      // threshold is a bin upper bound.
+      const FeatureBins& bins = *ctx_.feature_bins[best.feature];
+      std::vector<uint8_t>& route = routes_[id];
+      route.resize(bins.num_bins + 1);
+      for (size_t code = 0; code < bins.num_bins; ++code) {
+        route[code] = bins.is_numeric
+                          ? code <= best.threshold_bin
+                          : code < node.left_categories.size() &&
+                                node.left_categories[code] != 0;
+      }
+      route[bins.num_bins] = node.missing_goes_left;  // kMissingBin.
+
+      // Only the smaller child (left on a tie) accumulates a histogram;
+      // the larger is derived from it. Children at the depth cap are
+      // never scanned and get neither histograms nor position lists.
+      Family family;
+      family.first = children.size();
+      family.size = 2;
+      family.parent = i;
+      const auto left_count = static_cast<size_t>(best.left_count);
+      const size_t counts[2] = {left_count, parent.count - left_count};
+      family.built = family.first + (counts[0] <= counts[1] ? 0 : 1);
+      const int depth = parent.depth + 1;
+      family.grown =
+          depth < params_.max_depth && (counts[0] >= 2 || counts[1] >= 2);
+      for (size_t side = 0; side < 2; ++side) {
+        LiveNode child;
+        child.node = static_cast<int>(left_id + side);
+        child.depth = depth;
+        child.begin = child.end = parent.begin + (side == 0 ? 0 : counts[0]);
+        if (family.grown &&
+            (family.first + side == family.built || counts[side] >= 2)) {
+          child.hist = NewHist();
+        }
+        children.push_back(std::move(child));
+      }
+      families.push_back(family);
+    }
+    parents_ = std::move(level_);
+    level_ = std::move(children);
+    families_ = std::move(families);
+    lists_.swap(parent_lists_);
+  }
+
+  GradientBoostedTrees& model_;
+  const GradientBoostedTreesParams& params_;
+  const std::vector<int8_t>& labels_;  // By fit position.
+  CodeSweep& codes_;
+  TreeContext ctx_;
+  std::vector<double> margin_;  // By fit position.
+  std::vector<double> gh_;      // (g, h) by fit position, interleaved.
+  // By fit position: the deepest tree_ node routing has taken it to, or
+  // kUnsampled.
+  std::vector<uint32_t> leaf_;
+  std::vector<Node> tree_;
+  // Per split node of tree_: its direction for each bin code (1 = left),
+  // the missing code last.
+  std::vector<std::vector<uint8_t>> routes_;
+  std::vector<LiveNode> level_;    // The level being grown.
+  std::vector<Family> families_;   // Its families.
+  std::vector<LiveNode> parents_;  // The level above it.
+  // Position lists of level_ and parents_, each sized once per fit.
+  std::vector<uint32_t> lists_, parent_lists_;
+  std::vector<NodeHist> spare_hists_;  // Storage of spent histograms.
+  // Best split per (level_ node, active feature).
+  std::vector<SplitCand> cands_;
+};
 
 Status GradientBoostedTrees::Fit(const data::Dataset& dataset,
                                  const std::string& target_column,
@@ -362,12 +779,10 @@ Status GradientBoostedTrees::Fit(const data::Dataset& dataset,
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
   if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
-  if (params_.num_trees == 0) {
-    return InvalidArgumentError("num_trees must be positive");
+  if (rows.size() >= kMaxFitRows) {
+    return InvalidArgumentError("too many rows for one fit");
   }
-  if (params_.learning_rate <= 0.0) {
-    return InvalidArgumentError("learning_rate must be positive");
-  }
+  ROADMINE_RETURN_IF_ERROR(CheckBoostingParams(params_));
   auto labels = ExtractBinaryLabels(dataset, target_column);
   if (!labels.ok()) return labels.status();
   auto features = ResolveFeatures(dataset, feature_columns, target_column);
@@ -391,178 +806,30 @@ Status GradientBoostedTrees::Fit(const data::Dataset& dataset,
     hist = &*local_hist;
   }
 
-  // Log-odds prior with the same Laplace smoothing the tree leaves use.
-  double positives = 0.0;
-  for (size_t r : rows) positives += (*labels)[r];
-  const double prior = (positives + 1.0) / (static_cast<double>(rows.size()) + 2.0);
-  base_score_ = std::log(prior / (1.0 - prior));
-
-  std::vector<double> margin(dataset.num_rows(), 0.0);
-  std::vector<double> grad(dataset.num_rows(), 0.0);
-  std::vector<double> hess(dataset.num_rows(), 0.0);
-
-  TreeContext ctx;
-  ctx.features = &features_;
-  ctx.params = &params_;
-  ctx.grad = &grad;
-  ctx.hess = &hess;
-  ctx.feature_bins.reserve(features_.size());
-  for (const FeatureRef& ref : features_) {
-    ctx.feature_bins.push_back(&hist->ColumnBins(ref.column_index));
+  // Labels and codes by fit position: rows[i] is position i. The index's
+  // codes serve as they are when the rows are every dataset row in order.
+  const size_t n = rows.size();
+  std::vector<int8_t> fit_labels(n);
+  bool all_rows = n == dataset.num_rows();
+  for (size_t i = 0; i < n; ++i) {
+    fit_labels[i] = (*labels)[rows[i]];
+    all_rows = all_rows && rows[i] == i;
   }
-
-  const size_t num_features = features_.size();
-  std::vector<size_t> all_features(num_features);
-  for (size_t f = 0; f < num_features; ++f) all_features[f] = f;
-
-  for (size_t t = 0; t < params_.num_trees; ++t) {
-    // Row and column draws come from child streams keyed by the round, so
-    // neither depends on scheduling or on the other's draw count.
-    util::Rng row_rng(util::Rng::SplitSeed(params_.seed, 2 * t));
-    util::Rng col_rng(util::Rng::SplitSeed(params_.seed, 2 * t + 1));
-
-    std::vector<size_t> sampled;
-    if (params_.subsample < 1.0) {
-      sampled.reserve(rows.size());
-      for (size_t r : rows) {
-        if (row_rng.Bernoulli(params_.subsample)) sampled.push_back(r);
-      }
-      if (sampled.empty()) continue;  // Nothing drawn: no tree this round.
-    } else {
-      sampled = rows;
+  std::vector<const FeatureBins*> bins;
+  std::vector<std::vector<uint16_t>> gathered(all_rows ? 0 : features_.size());
+  std::vector<const uint16_t*> codes;
+  for (size_t f = 0; f < features_.size(); ++f) {
+    bins.push_back(&hist->ColumnBins(features_[f].column_index));
+    if (all_rows) {
+      codes.push_back(bins[f]->codes.data());
+      continue;
     }
-
-    ctx.active = all_features;
-    if (params_.colsample < 1.0) {
-      const size_t keep = std::max<size_t>(
-          1, static_cast<size_t>(std::llround(
-                 params_.colsample * static_cast<double>(num_features))));
-      col_rng.Shuffle(ctx.active);
-      ctx.active.resize(std::min(keep, ctx.active.size()));
-      std::sort(ctx.active.begin(), ctx.active.end());
-    }
-    ctx.offset.clear();
-    ctx.total_slots = 0;
-    for (size_t f : ctx.active) {
-      ctx.offset.push_back(ctx.total_slots);
-      ctx.total_slots += ctx.feature_bins[f]->num_bins + 1;
-    }
-
-    for (size_t r : sampled) {
-      const double p = Sigmoid(base_score_ + margin[r]);
-      grad[r] = p - static_cast<double>((*labels)[r]);
-      hess[r] = p * (1.0 - p);
-    }
-
-    std::vector<Node> tree;
-    struct Pending {
-      int node;
-      int depth;
-      std::vector<size_t> rows;
-      double g, h;
-      NodeHist hist;
-    };
-    std::deque<Pending> queue;
-
-    auto make_node = [&](const std::vector<size_t>& node_rows, double* out_g,
-                         double* out_h) {
-      double g_sum = 0.0, h_sum = 0.0;
-      for (size_t r : node_rows) {
-        g_sum += grad[r];
-        h_sum += hess[r];
-      }
-      Node node;
-      node.leaf_value =
-          params_.learning_rate * (-g_sum / (h_sum + params_.lambda));
-      tree.push_back(std::move(node));
-      *out_g = g_sum;
-      *out_h = h_sum;
-      return static_cast<int>(tree.size()) - 1;
-    };
-
-    {
-      Pending root;
-      root.depth = 0;
-      root.rows = std::move(sampled);
-      root.node = make_node(root.rows, &root.g, &root.h);
-      ROADMINE_RETURN_IF_ERROR(BuildHist(ctx, root.rows, &root.hist));
-      queue.push_back(std::move(root));
-    }
-
-    while (!queue.empty()) {
-      Pending pending = std::move(queue.front());
-      queue.pop_front();
-      if (pending.depth >= params_.max_depth || pending.rows.size() < 2) {
-        continue;
-      }
-      auto cand = FindBestSplit(ctx, pending.hist, pending.g, pending.h,
-                                static_cast<double>(pending.rows.size()),
-                                pending.rows.size());
-      if (!cand.ok()) return cand.status();
-      if (!cand->valid) continue;
-
-      // Partition by raw value — identical to the bin comparison the scan
-      // priced, because every numeric threshold is a bin upper bound.
-      const FeatureRef& ref = features_[cand->feature];
-      const data::Column& col = dataset.column(ref.column_index);
-      auto go_left = [&](size_t r) {
-        if (col.IsMissing(r)) return cand->missing_goes_left;
-        if (ref.type == data::ColumnType::kNumeric) {
-          return col.NumericAt(r) <= cand->threshold;
-        }
-        const auto code = static_cast<size_t>(col.CodeAt(r));
-        return code < cand->left_categories.size() &&
-               cand->left_categories[code] != 0;
-      };
-      std::vector<size_t> left_rows, right_rows;
-      for (size_t r : pending.rows) {
-        (go_left(r) ? left_rows : right_rows).push_back(r);
-      }
-      if (left_rows.empty() || right_rows.empty()) continue;  // Degenerate.
-
-      Pending left, right;
-      left.depth = right.depth = pending.depth + 1;
-      left.rows = std::move(left_rows);
-      right.rows = std::move(right_rows);
-      left.node = make_node(left.rows, &left.g, &left.h);
-      right.node = make_node(right.rows, &right.g, &right.h);
-
-      // Sibling subtraction: only the smaller child re-scans its rows;
-      // the larger one is parent minus sibling, slot for slot.
-      if (left.rows.size() <= right.rows.size()) {
-        ROADMINE_RETURN_IF_ERROR(BuildHist(ctx, left.rows, &left.hist));
-        right.hist.SubtractFrom(pending.hist, left.hist);
-      } else {
-        ROADMINE_RETURN_IF_ERROR(BuildHist(ctx, right.rows, &right.hist));
-        left.hist.SubtractFrom(pending.hist, right.hist);
-      }
-
-      Node& node = tree[static_cast<size_t>(pending.node)];
-      node.feature = static_cast<int>(cand->feature);
-      node.threshold = cand->threshold;
-      node.left_categories = std::move(cand->left_categories);
-      node.missing_goes_left = cand->missing_goes_left;
-      node.left = left.node;
-      node.right = right.node;
-
-      queue.push_back(std::move(left));
-      queue.push_back(std::move(right));
-    }
-
-    // Every fit row moves by its leaf weight, sampled or not.
-    for (size_t r : rows) margin[r] += TreeWeight(tree, dataset, r);
-    trees_.push_back(std::move(tree));
+    gathered[f].resize(n);
+    for (size_t i = 0; i < n; ++i) gathered[f][i] = bins[f]->codes[rows[i]];
+    codes.push_back(gathered[f].data());
   }
-
-  if (trees_.empty()) {
-    return InvalidArgumentError(
-        "no trees were built (every round's row sample was empty)");
-  }
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("ml.gbt.fits").Increment();
-  metrics.GetGauge("ml.gbt.trees").Set(static_cast<double>(trees_.size()));
-  metrics.GetGauge("ml.gbt.leaves").Set(static_cast<double>(total_leaves()));
-  return Status::Ok();
+  CodeSweep sweep(std::move(bins), n, std::move(codes));
+  return Grower(*this, fit_labels, sweep).Run();
 }
 
 Status GradientBoostedTrees::FitPaged(
@@ -572,12 +839,7 @@ Status GradientBoostedTrees::FitPaged(
   ROADMINE_TRACE_SPAN("ml.gbt.fit_paged");
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
-  if (params_.num_trees == 0) {
-    return InvalidArgumentError("num_trees must be positive");
-  }
-  if (params_.learning_rate <= 0.0) {
-    return InvalidArgumentError("learning_rate must be positive");
-  }
+  ROADMINE_RETURN_IF_ERROR(CheckBoostingParams(params_));
   if (params_.max_bins < 2 || params_.max_bins >= HistogramIndex::kMissingBin) {
     return InvalidArgumentError("max_bins must be in [2, 65534]");
   }
@@ -616,53 +878,47 @@ Status GradientBoostedTrees::FitPaged(
     }
   }
   std::vector<int8_t> labels;
-  ROADMINE_RETURN_IF_ERROR(source.Reset());
-  size_t scanned_rows = 0;
-  while (true) {
-    auto chunk_result = source.Next();
-    if (!chunk_result.ok()) return chunk_result.status();
-    const data::Dataset* chunk = *chunk_result;
-    if (chunk == nullptr) break;
-    const data::Column& target = chunk->column(*target_index);
-    for (size_t r = 0; r < chunk->num_rows(); ++r) {
-      if (target.IsMissing(r)) {
-        return InvalidArgumentError("missing target label at row " +
-                                    std::to_string(scanned_rows + r));
-      }
-      if (numeric_target) {
-        labels.push_back(target.NumericAt(r) != 0.0 ? 1 : 0);
-      } else {
-        labels.push_back(target.CodeAt(r) != 0 ? 1 : 0);
-      }
-    }
-    for (size_t f = 0; f < num_features; ++f) {
-      const FeatureRef& ref = (*features)[f];
-      const data::Column& col = chunk->column(ref.column_index);
-      if (ref.type == data::ColumnType::kNumeric) {
-        for (const double v : col.numeric_values()) {
-          if (!std::isnan(v)) sketches[f].Add(v);
+  ROADMINE_RETURN_IF_ERROR(ForEachChunk(
+      source, [&](size_t base, const data::Dataset& chunk) -> Status {
+        const data::Column& target = chunk.column(*target_index);
+        for (size_t r = 0; r < chunk.num_rows(); ++r) {
+          if (target.IsMissing(r)) {
+            return InvalidArgumentError("missing target label at row " +
+                                        std::to_string(base + r));
+          }
+          if (numeric_target) {
+            labels.push_back(target.NumericAt(r) != 0.0 ? 1 : 0);
+          } else {
+            labels.push_back(target.CodeAt(r) != 0 ? 1 : 0);
+          }
         }
-      } else {
-        for (const int32_t code : col.codes()) {
-          if (code >= 0) seen_levels[f][static_cast<size_t>(code)] = 1;
+        for (size_t f = 0; f < num_features; ++f) {
+          const FeatureRef& ref = (*features)[f];
+          const data::Column& col = chunk.column(ref.column_index);
+          if (ref.type == data::ColumnType::kNumeric) {
+            for (const double v : col.numeric_values()) {
+              if (!std::isnan(v)) sketches[f].Add(v);
+            }
+          } else {
+            for (const int32_t code : col.codes()) {
+              if (code >= 0) seen_levels[f][static_cast<size_t>(code)] = 1;
+            }
+          }
         }
-      }
-    }
-    scanned_rows += chunk->num_rows();
-  }
-  const size_t total_rows = scanned_rows;
+        return Status::Ok();
+      }));
+  const size_t total_rows = labels.size();
   if (total_rows == 0) return InvalidArgumentError("cannot fit on 0 rows");
-  constexpr uint32_t kRetired = std::numeric_limits<uint32_t>::max();
-  if (total_rows >= kRetired) {
+  if (total_rows >= kMaxFitRows) {
     return InvalidArgumentError("too many rows for a paged fit");
   }
 
   // Per-feature binning derived from the stream. In the sketch's exact
   // regime the cuts equal HistogramIndex::Build's over the same rows.
-  std::vector<HistogramIndex::FeatureBins> bins(num_features);
+  std::vector<FeatureBins> bins(num_features);
   for (size_t f = 0; f < num_features; ++f) {
     const FeatureRef& ref = (*features)[f];
-    HistogramIndex::FeatureBins& out = bins[f];
+    FeatureBins& out = bins[f];
     if (ref.type == data::ColumnType::kNumeric) {
       out.is_numeric = true;
       out.upper = sketches[f].Cuts(params_.max_bins);
@@ -681,341 +937,15 @@ Status GradientBoostedTrees::FitPaged(
   features_ = std::move(*features);
   trees_.clear();
 
-  double positives = 0.0;
-  for (const int8_t label : labels) positives += label;
-  const double prior =
-      (positives + 1.0) / (static_cast<double>(total_rows) + 2.0);
-  base_score_ = std::log(prior / (1.0 - prior));
-
-  std::vector<double> margin(total_rows, 0.0);
-  // p, g, h recomputed per sweep from margin + label: same expression,
-  // same doubles as the in-RAM fit's precomputed arrays.
-  auto grad_hess = [&](size_t r, double* g, double* h) {
-    const double p = Sigmoid(base_score_ + margin[r]);
-    *g = p - static_cast<double>(labels[r]);
-    *h = p * (1.0 - p);
-  };
-
-  PagedCodes codes(source, features_, bins, total_rows,
-                   options.code_cache_bytes);
-
-  TreeContext ctx;
-  ctx.features = &features_;
-  ctx.params = &params_;
-  ctx.feature_bins.reserve(num_features);
-  for (size_t f = 0; f < num_features; ++f) {
-    ctx.feature_bins.push_back(&bins[f]);
-  }
-
-  std::vector<size_t> all_features(num_features);
-  for (size_t f = 0; f < num_features; ++f) all_features[f] = f;
-
-  // assign[r]: the tree node currently owning row r (kRetired once the
-  // row reaches a leaf or was not sampled this round).
-  std::vector<uint32_t> assign(total_rows, kRetired);
-  std::vector<uint8_t> sampled;
-
-  // Routes a row through the split of `cand` using its bin code: for
-  // numeric cuts `code <= threshold_bin` iff `value <= upper[bin]`, so
-  // code routing matches the raw-value routing Fit applies.
-  auto code_goes_left = [&](const SplitCand& cand, uint16_t code) {
-    if (code == HistogramIndex::kMissingBin) return cand.missing_goes_left;
-    if (bins[cand.feature].is_numeric) {
-      return static_cast<size_t>(code) <= cand.threshold_bin;
-    }
-    return static_cast<size_t>(code) < cand.left_categories.size() &&
-           cand.left_categories[code] != 0;
-  };
-
-  for (size_t t = 0; t < params_.num_trees; ++t) {
-    util::Rng row_rng(util::Rng::SplitSeed(params_.seed, 2 * t));
-    util::Rng col_rng(util::Rng::SplitSeed(params_.seed, 2 * t + 1));
-
-    size_t sample_count = total_rows;
-    if (params_.subsample < 1.0) {
-      sampled.assign(total_rows, 0);
-      sample_count = 0;
-      for (size_t r = 0; r < total_rows; ++r) {
-        if (row_rng.Bernoulli(params_.subsample)) {
-          sampled[r] = 1;
-          ++sample_count;
-        }
-      }
-      if (sample_count == 0) continue;  // Nothing drawn: no tree this round.
-    }
-
-    ctx.active = all_features;
-    if (params_.colsample < 1.0) {
-      const size_t keep = std::max<size_t>(
-          1, static_cast<size_t>(std::llround(
-                 params_.colsample * static_cast<double>(num_features))));
-      col_rng.Shuffle(ctx.active);
-      ctx.active.resize(std::min(keep, ctx.active.size()));
-      std::sort(ctx.active.begin(), ctx.active.end());
-    }
-    ctx.offset.clear();
-    ctx.total_slots = 0;
-    for (size_t f : ctx.active) {
-      ctx.offset.push_back(ctx.total_slots);
-      ctx.total_slots += ctx.feature_bins[f]->num_bins + 1;
-    }
-
-    std::vector<Node> tree;
-    // Per-node numeric split bin (parallel to `tree`), for code routing
-    // in the margin sweep; -1 on leaves and categorical splits.
-    std::vector<int64_t> split_bin;
-    auto add_node = [&](double g_sum, double h_sum) {
-      Node node;
-      node.leaf_value =
-          params_.learning_rate * (-g_sum / (h_sum + params_.lambda));
-      tree.push_back(std::move(node));
-      split_bin.push_back(-1);
-      return static_cast<int>(tree.size()) - 1;
-    };
-
-    // One live (pending) node of the level currently being grown.
-    struct LiveNode {
-      int node = 0;
-      int depth = 0;
-      double g = 0.0, h = 0.0;
-      size_t cnt = 0;
-      NodeHist hist;
-    };
-
-    const bool subsampling = params_.subsample < 1.0;
-    for (size_t r = 0; r < total_rows; ++r) {
-      assign[r] = (!subsampling || sampled[r]) ? 0 : kRetired;
-    }
-
-    // Root sweep: node sums and the root histogram, both in row order
-    // (separate accumulators, so fusing the passes changes nothing).
-    LiveNode root;
-    root.hist.Allocate(ctx.total_slots);
-    ROADMINE_RETURN_IF_ERROR(codes.Sweep([&](size_t base, size_t rows,
-                                             const std::vector<const uint16_t*>&
-                                                 page) {
-      for (size_t i = 0; i < rows; ++i) {
-        const size_t r = base + i;
-        if (assign[r] == kRetired) continue;
-        double g = 0.0, h = 0.0;
-        grad_hess(r, &g, &h);
-        root.g += g;
-        root.h += h;
-        ++root.cnt;
-        for (size_t a = 0; a < ctx.active.size(); ++a) {
-          const size_t f = ctx.active[a];
-          const uint16_t code = page[f][i];
-          const size_t slot = code == HistogramIndex::kMissingBin
-                                  ? ctx.offset[a] + ctx.feature_bins[f]->num_bins
-                                  : ctx.offset[a] + code;
-          root.hist.g[slot] += g;
-          root.hist.h[slot] += h;
-          root.hist.cnt[slot] += 1.0;
-        }
-      }
-    }));
-    root.node = add_node(root.g, root.h);
-
-    std::vector<LiveNode> level;
-    level.push_back(std::move(root));
-
-    while (!level.empty()) {
-      // Decide each level node in id order — the same order Fit's FIFO
-      // queue processes them, so child ids come out identical.
-      struct Decision {
-        bool split = false;
-        SplitCand cand;
-        int left = -1, right = -1;
-        bool build_left = true;
-        size_t next_index = 0;  // Index of the left child in `next`.
-        double lg = 0.0, lh = 0.0, rg = 0.0, rh = 0.0;
-        size_t lc = 0, rc = 0;
-      };
-      std::vector<Decision> decisions(level.size());
-      std::vector<int32_t> node_to_level(tree.size(), -1);
-      bool any_split = false;
-      for (size_t i = 0; i < level.size(); ++i) {
-        node_to_level[static_cast<size_t>(level[i].node)] =
-            static_cast<int32_t>(i);
-        LiveNode& live = level[i];
-        if (live.depth >= params_.max_depth || live.cnt < 2) continue;
-        auto cand = FindBestSplit(ctx, live.hist, live.g, live.h,
-                                  static_cast<double>(live.cnt), live.cnt);
-        if (!cand.ok()) return cand.status();
-        if (!cand->valid) continue;
-        decisions[i].split = true;
-        decisions[i].cand = std::move(*cand);
-        any_split = true;
-      }
-      if (!any_split) break;
-
-      // Count sweep: per splitting node, each side's row count and g/h
-      // sums — every accumulator advances in ascending row order, exactly
-      // like Fit's per-child make_node loops.
-      ROADMINE_RETURN_IF_ERROR(codes.Sweep(
-          [&](size_t base, size_t rows,
-              const std::vector<const uint16_t*>& page) {
-            for (size_t i = 0; i < rows; ++i) {
-              const size_t r = base + i;
-              const uint32_t id = assign[r];
-              if (id == kRetired) continue;
-              const int32_t li = node_to_level[id];
-              if (li < 0 || !decisions[static_cast<size_t>(li)].split) {
-                continue;
-              }
-              Decision& decision = decisions[static_cast<size_t>(li)];
-              double g = 0.0, h = 0.0;
-              grad_hess(r, &g, &h);
-              if (code_goes_left(decision.cand,
-                                 page[decision.cand.feature][i])) {
-                decision.lg += g;
-                decision.lh += h;
-                ++decision.lc;
-              } else {
-                decision.rg += g;
-                decision.rh += h;
-                ++decision.rc;
-              }
-            }
-          }));
-
-      // Create children in id order; a split with an empty side stays a
-      // leaf, exactly like Fit's degenerate-partition bailout.
-      std::vector<LiveNode> next;
-      for (size_t i = 0; i < level.size(); ++i) {
-        Decision& decision = decisions[i];
-        if (!decision.split) continue;
-        if (decision.lc == 0 || decision.rc == 0) {
-          decision.split = false;
-          continue;
-        }
-        decision.next_index = next.size();
-        decision.left = add_node(decision.lg, decision.lh);
-        decision.right = add_node(decision.rg, decision.rh);
-        Node& parent = tree[static_cast<size_t>(level[i].node)];
-        parent.feature = static_cast<int>(decision.cand.feature);
-        parent.threshold = decision.cand.threshold;
-        parent.left_categories = decision.cand.left_categories;
-        parent.missing_goes_left = decision.cand.missing_goes_left;
-        parent.left = decision.left;
-        parent.right = decision.right;
-        if (bins[decision.cand.feature].is_numeric) {
-          split_bin[static_cast<size_t>(level[i].node)] =
-              static_cast<int64_t>(decision.cand.threshold_bin);
-        }
-        decision.build_left = decision.lc <= decision.rc;
-
-        LiveNode left, right;
-        left.node = decision.left;
-        right.node = decision.right;
-        left.depth = right.depth = level[i].depth + 1;
-        left.g = decision.lg;
-        left.h = decision.lh;
-        left.cnt = decision.lc;
-        right.g = decision.rg;
-        right.h = decision.rh;
-        right.cnt = decision.rc;
-        (decision.build_left ? left : right).hist.Allocate(ctx.total_slots);
-        next.push_back(std::move(left));
-        next.push_back(std::move(right));
-      }
-
-      // Hist/assign sweep: re-route rows to their children, retiring leaf
-      // rows, and accumulate only the smaller child's histogram (in row
-      // order per slot, matching BuildHist).
-      ROADMINE_RETURN_IF_ERROR(codes.Sweep(
-          [&](size_t base, size_t rows,
-              const std::vector<const uint16_t*>& page) {
-            for (size_t i = 0; i < rows; ++i) {
-              const size_t r = base + i;
-              const uint32_t id = assign[r];
-              if (id == kRetired) continue;
-              const int32_t li = node_to_level[id];
-              if (li < 0 || !decisions[static_cast<size_t>(li)].split) {
-                assign[r] = kRetired;
-                continue;
-              }
-              const Decision& decision = decisions[static_cast<size_t>(li)];
-              const bool left = code_goes_left(
-                  decision.cand, page[decision.cand.feature][i]);
-              assign[r] =
-                  static_cast<uint32_t>(left ? decision.left : decision.right);
-              if (left != decision.build_left) continue;
-              NodeHist& hist =
-                  next[decision.next_index + (decision.build_left ? 0 : 1)]
-                      .hist;
-              double g = 0.0, h = 0.0;
-              grad_hess(r, &g, &h);
-              for (size_t a = 0; a < ctx.active.size(); ++a) {
-                const size_t f = ctx.active[a];
-                const uint16_t code = page[f][i];
-                const size_t slot =
-                    code == HistogramIndex::kMissingBin
-                        ? ctx.offset[a] + ctx.feature_bins[f]->num_bins
-                        : ctx.offset[a] + code;
-                hist.g[slot] += g;
-                hist.h[slot] += h;
-                hist.cnt[slot] += 1.0;
-              }
-            }
-          }));
-
-      // Sibling subtraction for the larger children.
-      for (size_t i = 0; i < level.size(); ++i) {
-        const Decision& decision = decisions[i];
-        if (!decision.split) continue;
-        LiveNode& left = next[decision.next_index];
-        LiveNode& right = next[decision.next_index + 1];
-        if (decision.build_left) {
-          right.hist.SubtractFrom(level[i].hist, left.hist);
-        } else {
-          left.hist.SubtractFrom(level[i].hist, right.hist);
-        }
-      }
-      level = std::move(next);
-    }
-
-    // Margin sweep: every row (sampled or not) moves by its leaf weight,
-    // routed by codes — identical to Fit's raw-value TreeWeight walk.
-    ROADMINE_RETURN_IF_ERROR(codes.Sweep([&](size_t base, size_t rows,
-                                             const std::vector<const uint16_t*>&
-                                                 page) {
-      for (size_t i = 0; i < rows; ++i) {
-        size_t id = 0;
-        for (;;) {
-          const Node& node = tree[id];
-          if (node.feature < 0) {
-            margin[base + i] += node.leaf_value;
-            break;
-          }
-          const uint16_t code = page[static_cast<size_t>(node.feature)][i];
-          bool go_left;
-          if (code == HistogramIndex::kMissingBin) {
-            go_left = node.missing_goes_left;
-          } else if (bins[static_cast<size_t>(node.feature)].is_numeric) {
-            go_left = static_cast<int64_t>(code) <= split_bin[id];
-          } else {
-            go_left = static_cast<size_t>(code) <
-                          node.left_categories.size() &&
-                      node.left_categories[code] != 0;
-          }
-          id = static_cast<size_t>(go_left ? node.left : node.right);
-        }
-      }
-    }));
-
-    trees_.push_back(std::move(tree));
-  }
-
-  if (trees_.empty()) {
-    return InvalidArgumentError(
-        "no trees were built (every round's row sample was empty)");
-  }
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  metrics.GetCounter("ml.gbt.fits").Increment();
-  metrics.GetCounter("ml.gbt.paged_fits").Increment();
-  metrics.GetGauge("ml.gbt.trees").Set(static_cast<double>(trees_.size()));
-  metrics.GetGauge("ml.gbt.leaves").Set(static_cast<double>(total_leaves()));
+  std::vector<const FeatureBins*> bin_ptrs;
+  for (const FeatureBins& feature_bins : bins) bin_ptrs.push_back(&feature_bins);
+  const uint64_t cache_bytes = static_cast<uint64_t>(num_features) *
+                               static_cast<uint64_t>(total_rows) *
+                               sizeof(uint16_t);
+  CodeSweep sweep(std::move(bin_ptrs), total_rows, source, features_,
+                  cache_bytes <= options.code_cache_bytes);
+  ROADMINE_RETURN_IF_ERROR(Grower(*this, labels, sweep).Run());
+  obs::MetricsRegistry::Global().GetCounter("ml.gbt.paged_fits").Increment();
   return Status::Ok();
 }
 

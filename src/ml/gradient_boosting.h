@@ -3,20 +3,29 @@
 // The paper deliberately avoided boosting during discovery (see
 // ml/bagging.h for the quote); this learner is the production-scale
 // counterpart the ROADMAP calls for: second-order gradient boosting in
-// the xgboost mold, trained entirely over an ml::HistogramIndex —
-// per-node gradient/hessian histograms, sibling subtraction (build the
-// smaller child, derive the larger as parent minus smaller), and a
-// per-feature parallel split scan merged in feature order. Every numeric
-// threshold is a bin upper bound (an actual data value), so training-time
-// code routing and serving-time `x <= threshold` routing agree exactly on
-// the training rows (the corrected cut semantics, DESIGN.md §12).
+// the xgboost mold, trained entirely over bin codes — per-node
+// gradient/hessian histograms, sibling subtraction (build the smaller
+// child, derive the larger as parent minus smaller), and a per-feature
+// split scan merged in feature order. Every numeric threshold is a bin
+// upper bound (an actual data value), so training-time code routing and
+// serving-time `x <= threshold` routing agree exactly on the training
+// rows (the corrected cut semantics, DESIGN.md §12).
+//
+// Fit and FitPaged drive one growth engine. It keeps every per-row array
+// by fit position (Fit's `rows` order, or the stream's row order), grows
+// each tree level by level, and runs each level as two executor batches:
+// one task per split routing its parent's positions (and summing the
+// children's G/H), then one task per (sibling pair x feature) that
+// accumulates the histogram and scans the split. Each histogram task
+// adds its rows in position order into a private copy of its feature's
+// slot range.
 //
 // Determinism: row subsampling draws from Rng::SplitSeed child stream 2t
 // and column subsampling from stream 2t+1 of tree t, per-feature split
 // candidates are computed independently and merged with a strict
-// comparison in feature order, and histogram accumulation is serial in
-// row order within each feature — the fitted ensemble is bit-identical
-// at any thread count.
+// comparison in feature order, and every sum runs in ascending position
+// order — the fitted ensemble is bit-identical at any thread count,
+// grain and chunking.
 #ifndef ROADMINE_ML_GRADIENT_BOOSTING_H_
 #define ROADMINE_ML_GRADIENT_BOOSTING_H_
 
@@ -66,14 +75,15 @@ struct GradientBoostedTreesParams {
   // Optional pre-built binning shared across fits (CV folds, studies).
   // Not owned; must cover the fit's features over the same dataset.
   const HistogramIndex* histogram_index = nullptr;
-  // Optional parallelism for histogram build and the per-feature split
-  // scan (not owned, may be null = serial). Bit-identical either way.
+  // Optional parallelism for the growth engine's per-level batches (not
+  // owned, may be null = serial). Bit-identical either way.
   exec::Executor* executor = nullptr;
 };
 
-// Knobs for FitPaged (see below). The only RAM the paged fit keeps per
-// row is the margin (8 B), label (1 B), node assignment (4 B) and sample
-// flag (1 B); bin codes are the one optional cache.
+// Knobs for FitPaged (see below). Per row the paged fit keeps about 37 B
+// — margin (8 B), gradient and hessian (16 B), label (1 B), leaf id
+// (4 B) and position lists for two tree levels (8 B) — and bin codes are
+// the one optional cache.
 struct PagedFitOptions {
   // Budget for the bin-code cache. When the full code matrix
   // (features x rows x 2 bytes) fits, the source is binned once and every
@@ -87,6 +97,8 @@ class GradientBoostedTrees : public Predictor {
   explicit GradientBoostedTrees(GradientBoostedTreesParams params = {})
       : params_(params) {}
 
+  // Trains on `rows` in the order given; a row listed twice is two
+  // training rows, each with its own margin.
   [[nodiscard]] util::Status Fit(const data::Dataset& dataset,
                                  const std::string& target_column,
                                  const std::vector<std::string>& feature_columns,
@@ -98,11 +110,10 @@ class GradientBoostedTrees : public Predictor {
   // — and therefore the fitted model bit-identical to Fit over all rows —
   // whenever each numeric feature has at most 64 Ki distinct values; past
   // that the sketch compacts deterministically and the paged model is
-  // reproducible but no longer pinned to the in-RAM one. Trees grow level
-  // by level from per-page gradient/hessian histograms merged across
-  // pages in row order, with the same sibling subtraction, sampling
-  // streams and split scan as Fit. params_.histogram_index is ignored
-  // (the binning is derived from the stream itself).
+  // reproducible but no longer pinned to the in-RAM one. The trees grow
+  // in the same engine as Fit's, fed one block of codes per chunk when
+  // the codes are not cached. params_.histogram_index is ignored (the
+  // binning is derived from the stream itself).
   [[nodiscard]] util::Status FitPaged(
       data::RowSource& source, const std::string& target_column,
       const std::vector<std::string>& feature_columns,
@@ -162,6 +173,9 @@ class GradientBoostedTrees : public Predictor {
     int right = -1;
     double leaf_value = 0.0;  // Shrinkage applied at training time.
   };
+
+  // The growth engine Fit and FitPaged share (gradient_boosting.cc).
+  class Grower;
 
   // Adds tree t's leaf weight for `row` (raw column values).
   double TreeWeight(const std::vector<Node>& tree, const data::Dataset& dataset,

@@ -118,7 +118,9 @@ TEST(GradientBoostingTest, HandlesMissingAndCategoricalFeatures) {
 }
 
 TEST(GradientBoostingDeterminismTest, BitIdenticalAcrossThreadCounts) {
-  data::Dataset ds = TwoFeatureDataset(6000, 5);  // Above the exec cutoff.
+  // Small enough for every engine batch to run inline; ml_gbt_growth_test
+  // covers fits large enough for threaded batches.
+  data::Dataset ds = TwoFeatureDataset(6000, 5);
   GradientBoostedTreesParams params = SmallParams();
   params.num_trees = 8;
   params.subsample = 0.8;
