@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <queue>
 
 #include "roadgen/dataset_builder.h"
 #include "util/string_util.h"
@@ -141,20 +140,23 @@ Result<WorksProgram> BuildWorksProgram(const data::Dataset& segments,
 
 namespace {
 
-// One streaming survivor: the global row, its score or observed count,
-// and (for the probability heap) the fully assembled program line — built
-// while the row's page was resident, since the page is gone by the time
-// the final ranking is known.
+// One streaming survivor: the global row and its score or observed count.
 struct PagedEntry {
   uint64_t row = 0;
   double key = 0.0;  // Probability or observed count, per heap.
+};
+
+// A survivor of the line heap, with its fully assembled program line —
+// built while the row's page was resident, since the page is gone by the
+// time the final ranking is known.
+struct PagedLine : PagedEntry {
   RankedSegment ranked;
 };
 
-// Ranking order: higher key wins, ties go to the earlier row. As a
-// priority_queue comparator this parks the WORST survivor at top(),
-// where eviction wants it — and it mirrors AssembleProgram's sort
-// tie-breaks exactly, which is what makes the paged program identical.
+// Ranking order: higher key wins, ties go to the earlier row. As a heap
+// comparator this parks the WORST survivor at the front, where eviction
+// wants it — and it mirrors AssembleProgram's sort tie-breaks exactly,
+// which is what makes the paged program identical.
 struct PagedBeats {
   bool operator()(const PagedEntry& a, const PagedEntry& b) const {
     if (a.key != b.key) return a.key > b.key;
@@ -162,19 +164,42 @@ struct PagedBeats {
   }
 };
 
-using PagedHeap =
-    std::priority_queue<PagedEntry, std::vector<PagedEntry>, PagedBeats>;
+// The best `capacity` entries seen so far, as a heap with the worst
+// survivor at the front.
+template <typename T>
+class BoundedHeap {
+ public:
+  explicit BoundedHeap(size_t capacity) : capacity_(capacity) {}
 
-// Bounded insert: enter iff the heap is short or the candidate beats the
-// worst survivor.
-void OfferEntry(PagedHeap* heap, size_t capacity, PagedEntry entry) {
-  if (heap->size() < capacity) {
-    heap->push(std::move(entry));
-  } else if (capacity > 0 && PagedBeats()(entry, heap->top())) {
-    heap->pop();
-    heap->push(std::move(entry));
+  // Whether `entry` would be kept.
+  bool Admits(const PagedEntry& entry) const {
+    return items_.size() < capacity_ ||
+           (capacity_ > 0 && PagedBeats()(entry, items_.front()));
   }
-}
+
+  // Inserts an item Admits() accepted, evicting the worst when full.
+  void Insert(T item) {
+    if (items_.size() == capacity_) {
+      std::pop_heap(items_.begin(), items_.end(), PagedBeats());
+      items_.pop_back();
+    }
+    items_.push_back(std::move(item));
+    std::push_heap(items_.begin(), items_.end(), PagedBeats());
+  }
+
+  // The survivors, in heap order.
+  const std::vector<T>& items() const { return items_; }
+
+  // The survivors, best first.
+  std::vector<T> BestFirst() && {
+    std::sort_heap(items_.begin(), items_.end(), PagedBeats());
+    return std::move(items_);
+  }
+
+ private:
+  size_t capacity_;
+  std::vector<T> items_;
+};
 
 }  // namespace
 
@@ -187,8 +212,8 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
   auto count_idx = schema.ColumnIndex(roadgen::kSegmentCrashCountColumn);
   if (!count_idx.ok()) return count_idx.status();
 
-  // The row count fixes the decile — and with it both heap bounds —
-  // before any scoring. Trust the source's hint; spend a counting pass
+  // The row count fixes the decile — and with it both decile heap bounds
+  // — before any scoring. Trust the source's hint; spend a counting pass
   // when it has none.
   uint64_t total = 0;
   if (auto hint = segments.TotalRowsHint(); hint.has_value()) {
@@ -204,14 +229,15 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
   }
   if (total == 0) return InvalidArgumentError("no segments");
 
+  // Two decile heaps of (row, key) pairs decide the agreement; program
+  // lines are assembled only for rows that enter the line heap.
   const size_t decile = std::max<size_t>(1, static_cast<size_t>(total / 10));
-  const size_t keep_prob =
-      config.max_segments == 0
-          ? static_cast<size_t>(total)
-          : std::max(config.max_segments, decile);
-
-  PagedHeap by_probability;
-  PagedHeap by_count;
+  const size_t keep_lines = config.max_segments == 0
+                                ? static_cast<size_t>(total)
+                                : config.max_segments;
+  BoundedHeap<PagedEntry> by_probability(decile);
+  BoundedHeap<PagedEntry> by_count(decile);
+  BoundedHeap<PagedLine> lines(keep_lines);
   std::vector<size_t> page_rows;
   uint64_t seen = 0;
   ROADMINE_RETURN_IF_ERROR(segments.Reset());
@@ -230,18 +256,19 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
     for (size_t r = 0; r < n; ++r) {
       const uint64_t global_row = seen + r;
       const double count = counts.NumericAt(r);
-      OfferEntry(&by_count, decile, PagedEntry{global_row, count, {}});
-      PagedEntry candidate{global_row, (*probabilities)[r], {}};
-      // Assemble the program line only if the row actually enters the
-      // heap — treatments need the page, which won't outlive this loop.
-      if (by_probability.size() < keep_prob ||
-          PagedBeats()(candidate, by_probability.top())) {
-        candidate.ranked.segment_id = static_cast<int64_t>(ids.NumericAt(r));
-        candidate.ranked.crash_prone_probability = candidate.key;
-        candidate.ranked.observed_crash_count = count;
-        candidate.ranked.recommended_treatments =
+      const PagedEntry by_count_entry{global_row, count};
+      if (by_count.Admits(by_count_entry)) by_count.Insert(by_count_entry);
+      const PagedEntry candidate{global_row, (*probabilities)[r]};
+      if (by_probability.Admits(candidate)) by_probability.Insert(candidate);
+      // Treatments need the page, which won't outlive this loop.
+      if (lines.Admits(candidate)) {
+        PagedLine line{candidate, {}};
+        line.ranked.segment_id = static_cast<int64_t>(ids.NumericAt(r));
+        line.ranked.crash_prone_probability = candidate.key;
+        line.ranked.observed_crash_count = count;
+        line.ranked.recommended_treatments =
             RecommendTreatments(ds, r, config);
-        OfferEntry(&by_probability, keep_prob, std::move(candidate));
+        lines.Insert(std::move(line));
       }
     }
     seen += n;
@@ -250,39 +277,28 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
     return util::DataLossError("row source changed size between passes");
   }
 
-  // Drain best-first. The probability heap holds the first keep_prob
-  // entries of AssembleProgram's by_probability order, the count heap the
-  // top decile of its by_count order.
-  std::vector<PagedEntry> ranked(by_probability.size());
-  for (size_t i = ranked.size(); i-- > 0;) {
-    ranked[i] = by_probability.top();
-    by_probability.pop();
-  }
+  // The decile heaps hold the top decile of AssembleProgram's
+  // by_probability and by_count orders, in heap order; the agreement is
+  // the size of their overlap.
   std::vector<uint64_t> count_decile_rows;
-  count_decile_rows.reserve(by_count.size());
-  while (!by_count.empty()) {
-    count_decile_rows.push_back(by_count.top().row);
-    by_count.pop();
+  count_decile_rows.reserve(by_count.items().size());
+  for (const PagedEntry& entry : by_count.items()) {
+    count_decile_rows.push_back(entry.row);
   }
   std::sort(count_decile_rows.begin(), count_decile_rows.end());
-
-  WorksProgram program;
   size_t overlap = 0;
-  for (size_t i = 0; i < decile && i < ranked.size(); ++i) {
+  for (const PagedEntry& entry : by_probability.items()) {
     overlap += std::binary_search(count_decile_rows.begin(),
-                                  count_decile_rows.end(), ranked[i].row)
+                                  count_decile_rows.end(), entry.row)
                    ? 1
                    : 0;
   }
+  WorksProgram program;
   program.top_decile_agreement =
       static_cast<double>(overlap) / static_cast<double>(decile);
-  for (PagedEntry& entry : ranked) {
-    if (entry.key < config.min_probability) break;
-    if (config.max_segments != 0 &&
-        program.segments.size() >= config.max_segments) {
-      break;
-    }
-    program.segments.push_back(std::move(entry.ranked));
+  for (PagedLine& line : std::move(lines).BestFirst()) {
+    if (line.key < config.min_probability) break;
+    program.segments.push_back(std::move(line.ranked));
   }
   return program;
 }

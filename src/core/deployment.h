@@ -67,15 +67,18 @@ struct DeploymentConfig {
                                              const ml::Predictor& model,
                                              const DeploymentConfig& config = {});
 
-// Streaming variant: scores `segments` one page at a time and assembles
-// the program from bounded top-K heaps, so memory use is one page plus
-// max(config.max_segments, rows/10) survivors — never the whole network.
-// Produces a WorksProgram identical to BuildWorksProgram on the
-// materialized stream (same ranking, tie-breaks, treatments, and
+// Streaming variant: scores `segments` one page at a time and ranks from
+// bounded heaps — two of rows/10 bare (row, key) pairs for the top-decile
+// agreement (by probability, by observed count) and one of
+// config.max_segments program lines — so memory use is one page plus
+// 2 x decile pairs plus max_segments lines, never the whole network. A
+// line (id, counts, treatments) is assembled only for a row that enters
+// the line heap. Produces a WorksProgram identical to BuildWorksProgram
+// on the materialized stream (same ranking, tie-breaks, treatments, and
 // top-decile agreement). With max_segments == 0 every row is listed, so
 // that configuration is inherently O(rows); give a cap for out-of-core
-// use. Sources that report TotalRowsHint() == 0 cost one extra counting
-// pass to fix the decile size up front.
+// use. Sources without a TotalRowsHint() cost one extra counting pass to
+// fix the decile size up front.
 [[nodiscard]] util::Result<WorksProgram> BuildWorksProgramPaged(
     data::RowSource& segments, const ml::Predictor& model,
     const DeploymentConfig& config = {});

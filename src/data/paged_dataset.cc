@@ -65,6 +65,7 @@ struct ByteReader {
     pos += size;
     return true;
   }
+  size_t Remaining() const { return buffer.size() - pos; }
   bool ReadU8(uint8_t* v) { return Read(v, 1); }
   bool ReadU32(uint32_t* v) { return Read(v, 4); }
   bool ReadU64(uint64_t* v) { return Read(v, 8); }
@@ -288,6 +289,12 @@ Result<PagedDataset> PagedDataset::Open(const std::string& directory) {
       return DataLossError("truncated page-format file '" + meta_path + "'");
     }
     spec.type = type == 0 ? ColumnType::kNumeric : ColumnType::kCategorical;
+    // Every category costs at least its 4-byte length: a count the file
+    // cannot hold is corruption, not an allocation to attempt.
+    if (num_categories > reader.Remaining() / 4) {
+      return DataLossError("category count exceeds the file in '" +
+                           meta_path + "'");
+    }
     spec.categories.resize(num_categories);
     for (uint32_t k = 0; k < num_categories; ++k) {
       if (!reader.ReadString(&spec.categories[k])) {
@@ -298,7 +305,7 @@ Result<PagedDataset> PagedDataset::Open(const std::string& directory) {
   }
   // Sanity: the page/row accounting must be consistent.
   const uint64_t expected_pages =
-      (total_rows + page_rows - 1) / page_rows;
+      total_rows / page_rows + (total_rows % page_rows != 0 ? 1 : 0);
   if (expected_pages != num_pages) {
     return DataLossError("page count disagrees with row count in '" +
                          meta_path + "'");
@@ -369,6 +376,11 @@ Result<Dataset> PagedDataset::ReadPage(size_t index) const {
     if (type != expected) {
       return DataLossError("page file '" + path + "' column '" + spec.name +
                            "' type disagrees with meta");
+    }
+    const size_t value_bytes =
+        spec.type == ColumnType::kNumeric ? sizeof(double) : sizeof(int32_t);
+    if (num_rows > reader.Remaining() / value_bytes) {
+      return DataLossError("truncated page file '" + path + "'");
     }
     if (spec.type == ColumnType::kNumeric) {
       std::vector<double> values(static_cast<size_t>(num_rows));

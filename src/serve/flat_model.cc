@@ -1,7 +1,10 @@
 #include "serve/flat_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "ml/serialize.h"
 #include "util/string_util.h"
@@ -10,10 +13,14 @@ namespace roadmine::serve {
 
 using util::InvalidArgumentError;
 using util::Result;
+using util::Status;
 
 namespace {
 
 constexpr char kSerializationHeader[] = "roadmine-flat-model v1";
+
+// Rows per PredictBatch block: 64 rows of every split feature stay in L1.
+constexpr size_t kBlockRows = 64;
 
 const char* KindName(FlatModel::Kind kind) {
   switch (kind) {
@@ -58,18 +65,17 @@ class FlatModelCompiler {
       remap[f] = *mapped;
     }
 
-    const size_t base = out_.feature_.size();
-    out_.roots_.push_back(static_cast<int32_t>(base));
-    for (const NodeViewT& node : nodes) {
+    const int32_t base = static_cast<int32_t>(out_.steps_.size());
+    out_.roots_.push_back(base);
+    for (size_t local = 0; local < nodes.size(); ++local) {
+      const NodeViewT& node = nodes[local];
+      FlatModel::Step step;
       if (node.is_leaf) {
-        out_.feature_.push_back(FlatModel::kInvalid);
-        out_.threshold_.push_back(0.0);
-        out_.left_.push_back(FlatModel::kInvalid);
-        out_.right_.push_back(FlatModel::kInvalid);
-        out_.missing_left_.push_back(1);
-        out_.is_categorical_.push_back(0);
-        out_.mask_offset_.push_back(FlatModel::kInvalid);
-        out_.mask_nbits_.push_back(0);
+        const int32_t self = base + static_cast<int32_t>(local);
+        step.child[0] = self;
+        step.child[1] = self;
+        step.leaf = 1;
+        out_.steps_.push_back(step);
         out_.leaf_value_.push_back(leaf_value(node));
         continue;
       }
@@ -78,31 +84,24 @@ class FlatModelCompiler {
           static_cast<size_t>(node.right) >= nodes.size()) {
         return InvalidArgumentError("malformed split node");
       }
-      const bool categorical =
-          tree_features[node.feature].type == data::ColumnType::kCategorical;
-      out_.feature_.push_back(remap[node.feature]);
-      out_.threshold_.push_back(node.threshold);
-      out_.left_.push_back(static_cast<int32_t>(base) + node.left);
-      out_.right_.push_back(static_cast<int32_t>(base) + node.right);
-      out_.missing_left_.push_back(node.missing_goes_left ? 1 : 0);
-      out_.is_categorical_.push_back(categorical ? 1 : 0);
-      if (categorical) {
-        out_.mask_offset_.push_back(
-            static_cast<int32_t>(out_.mask_words_.size()));
-        out_.mask_nbits_.push_back(
-            static_cast<int32_t>(node.left_categories.size()));
+      step.threshold = node.threshold;
+      step.child[0] = base + node.right;
+      step.child[1] = base + node.left;
+      step.slot = remap[node.feature];
+      step.missing_left = node.missing_goes_left ? 1 : 0;
+      if (tree_features[node.feature].type == data::ColumnType::kCategorical) {
+        step.mask_offset = static_cast<int32_t>(out_.mask_words_.size());
+        step.mask_nbits = static_cast<int32_t>(node.left_categories.size());
         out_.mask_words_.resize(out_.mask_words_.size() +
                                 (node.left_categories.size() + 63) / 64);
         for (size_t bit = 0; bit < node.left_categories.size(); ++bit) {
           if (node.left_categories[bit] != 0) {
-            out_.mask_words_[static_cast<size_t>(out_.mask_offset_.back()) +
+            out_.mask_words_[static_cast<size_t>(step.mask_offset) +
                              bit / 64] |= uint64_t{1} << (bit % 64);
           }
         }
-      } else {
-        out_.mask_offset_.push_back(FlatModel::kInvalid);
-        out_.mask_nbits_.push_back(0);
       }
+      out_.steps_.push_back(step);
       out_.leaf_value_.push_back(0.0);
     }
     return util::Status::Ok();
@@ -141,6 +140,7 @@ Result<FlatModel> CompileModel(const ml::DecisionTreeClassifier& model) {
       [](const ml::DecisionTreeClassifier::NodeView& node) {
         return node.leaf_value;
       }));
+  ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
 }
 
@@ -158,6 +158,7 @@ Result<FlatModel> CompileModel(const ml::BaggedTreesClassifier& model) {
           return node.leaf_value;
         }));
   }
+  ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
 }
 
@@ -169,6 +170,7 @@ Result<FlatModel> CompileModel(const ml::RegressionTree& model) {
   ROADMINE_RETURN_IF_ERROR(compiler.AppendTree(
       model.ExportNodes(), model.features(),
       [](const ml::RegressionTree::NodeView& node) { return node.mean; }));
+  ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
 }
 
@@ -202,6 +204,7 @@ Result<FlatModel> CompileModel(const ml::M5Tree& model) {
     flat.lm_pool_.insert(flat.lm_pool_.end(), lm.weights.begin(),
                          lm.weights.end());
   }
+  ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
 }
 
@@ -220,6 +223,7 @@ Result<FlatModel> CompileModel(const ml::GradientBoostedTrees& model) {
           return node.leaf_value;
         }));
   }
+  ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
 }
 
@@ -276,70 +280,152 @@ Result<FlatModel::ResolvedColumns> FlatModel::ResolveColumns(
   return resolved;
 }
 
-// Reads one dataset row through the resolved columns (single-row path).
-struct FlatModel::ColumnAccessor {
-  const ResolvedColumns& columns;
-  size_t row;
-  double Numeric(size_t f) const {
-    return columns.split_columns[f]->NumericAt(row);
+Status FlatModel::Link() {
+  std::vector<uint8_t> reached(steps_.size(), 0);
+  std::vector<std::pair<int32_t, int32_t>> pending;  // (node, its depth)
+  depth_.assign(roots_.size(), 0);
+  if (kind_ == Kind::kM5Tree) parent_.assign(steps_.size(), kInvalid);
+  for (size_t t = 0; t < roots_.size(); ++t) {
+    pending.emplace_back(roots_[t], 0);
+    while (!pending.empty()) {
+      const auto [id, depth] = pending.back();
+      pending.pop_back();
+      if (reached[static_cast<size_t>(id)] != 0) {
+        return InvalidArgumentError("node " + std::to_string(id) +
+                                    " is reached twice: the nodes do not "
+                                    "form trees");
+      }
+      reached[static_cast<size_t>(id)] = 1;
+      const Step& step = steps_[static_cast<size_t>(id)];
+      if (step.leaf != 0) {
+        depth_[t] = std::max(depth_[t], depth);
+        continue;
+      }
+      for (const int32_t child : step.child) {
+        if (!parent_.empty()) parent_[static_cast<size_t>(child)] = id;
+        pending.emplace_back(child, depth + 1);
+      }
+    }
   }
-  int32_t Code(size_t f) const { return columns.split_columns[f]->CodeAt(row); }
-  double Lm(size_t j) const { return columns.lm_columns[j]->NumericAt(row); }
-};
+  return Status::Ok();
+}
 
-// Reads one row slice of the matrices PredictBatch gathers up front.
-struct FlatModel::GatheredAccessor {
-  const double* numeric;   // One slot per split feature.
-  const int32_t* codes;
-  const double* lm;        // One slot per leaf-model feature.
-  double Numeric(size_t f) const { return numeric[f]; }
-  int32_t Code(size_t f) const { return codes[f]; }
-  double Lm(size_t j) const { return lm[j]; }
-};
+bool FlatModel::CategoryGoesLeft(const Step& step, int32_t code) const {
+  if (code < 0) return step.missing_left != 0;  // Negative code == missing.
+  const size_t bit = static_cast<size_t>(code);
+  return bit < static_cast<size_t>(step.mask_nbits) &&
+         ((mask_words_[static_cast<size_t>(step.mask_offset) + bit / 64] >>
+           (bit % 64)) &
+          1) != 0;
+}
 
-template <typename Accessor>
-size_t FlatModel::FindLeaf(size_t t, const Accessor& acc,
-                           std::vector<size_t>* path) const {
+inline size_t FlatModel::FindLeaf(size_t t, const ResolvedColumns& columns,
+                                  size_t row,
+                                  std::vector<size_t>* path) const {
   size_t id = static_cast<size_t>(roots_[t]);
   for (;;) {
     if (path != nullptr) path->push_back(id);
-    const int32_t f = feature_[id];
-    if (f == kInvalid) return id;
+    const Step& step = steps_[id];
+    if (step.leaf != 0) return id;
+    const data::Column& col =
+        *columns.split_columns[static_cast<size_t>(step.slot)];
     bool go_left;
-    if (is_categorical_[id] == 0) {
+    if (step.mask_offset == kInvalid) {
       // NaN is data::Column's numeric missing encoding (== IsMissing).
-      const double v = acc.Numeric(static_cast<size_t>(f));
-      go_left = std::isnan(v) ? missing_left_[id] != 0 : v <= threshold_[id];
+      const double v = col.NumericAt(row);
+      go_left = std::isnan(v) ? step.missing_left != 0 : v <= step.threshold;
     } else {
-      const int32_t code = acc.Code(static_cast<size_t>(f));
-      if (code < 0) {  // Negative code == categorical missing.
-        go_left = missing_left_[id] != 0;
-      } else {
-        const size_t bit = static_cast<size_t>(code);
-        go_left =
-            bit < static_cast<size_t>(mask_nbits_[id]) &&
-            ((mask_words_[static_cast<size_t>(mask_offset_[id]) + bit / 64] >>
-              (bit % 64)) &
-             1) != 0;
-      }
+      go_left = CategoryGoesLeft(step, col.CodeAt(row));
     }
-    id = static_cast<size_t>(go_left ? left_[id] : right_[id]);
+    // A branch, not a select: one row's descent gains more from
+    // speculating down a child than from waiting on the comparison.
+    if (go_left) [[likely]] {
+      id = static_cast<size_t>(step.child[1]);
+    } else {
+      id = static_cast<size_t>(step.child[0]);
+    }
   }
 }
 
-template <typename Accessor>
-double FlatModel::ScoreRow(const Accessor& acc,
-                           std::vector<size_t>* path_scratch) const {
+inline int FlatModel::GoesLeft(const Step& step, const double* values,
+                               size_t stride, size_t i) const {
+  const double v = values[static_cast<size_t>(step.slot) * stride + i];
+  if (step.mask_offset != kInvalid) [[unlikely]] {
+    return CategoryGoesLeft(step, static_cast<int32_t>(v)) ? 1 : 0;
+  }
+  return static_cast<int>(v <= step.threshold) |
+         (static_cast<int>(std::isnan(v)) & step.missing_left);
+}
+
+inline void FlatModel::DescendBlock(size_t t, const double* values,
+                                    size_t stride, size_t n,
+                                    int32_t* node) const {
+  const Step* steps = steps_.data();
+  // One level for one row: the routing bit indexes the child, and a leaf
+  // steps to itself.
+  const auto next = [&](int32_t id, size_t i) {
+    const Step& step = steps[id];
+    return step.child[GoesLeft(step, values, stride, i)];
+  };
+  std::fill(node, node + n, roots_[t]);
+  for (int32_t level = 0; level < depth_[t]; ++level) {
+    // Four independent rows per iteration keep several descents in flight.
+    for (size_t i = 0; i < n; i += 4) {
+      const int32_t a = next(node[i], i);
+      const int32_t b = next(node[i + 1], i + 1);
+      const int32_t c = next(node[i + 2], i + 2);
+      const int32_t d = next(node[i + 3], i + 3);
+      node[i] = a;
+      node[i + 1] = b;
+      node[i + 2] = c;
+      node[i + 3] = d;
+    }
+  }
+}
+
+inline int32_t FlatModel::WalkRow(size_t t, const double* values,
+                                  size_t stride, size_t i) const {
+  int32_t id = roots_[t];
+  while (steps_[static_cast<size_t>(id)].leaf == 0) {
+    const Step& step = steps_[static_cast<size_t>(id)];
+    // [[likely]] keeps this a branch rather than a select.
+    if (GoesLeft(step, values, stride, i) != 0) [[likely]] {
+      id = step.child[1];
+    } else {
+      id = step.child[0];
+    }
+  }
+  return id;
+}
+
+double FlatModel::LeafModel(size_t leaf, const ResolvedColumns& columns,
+                            size_t row) const {
+  const int32_t offset = lm_offset_[leaf];
+  if (offset == kInvalid) return node_mean_[leaf];
+  const double* weights = lm_pool_.data() + offset;
+  double prediction = weights[0];
+  for (size_t j = 0; j < lm_features_.size(); ++j) {
+    const double v = columns.lm_columns[j]->NumericAt(row);
+    if (!std::isnan(v)) prediction += weights[1 + j] * v;
+  }
+  return prediction;
+}
+
+Result<double> FlatModel::PredictRow(const data::Dataset& dataset,
+                                     size_t row) const {
+  if (!compiled()) return util::FailedPreconditionError("model not compiled");
+  auto columns = ResolveColumns(dataset);
+  if (!columns.ok()) return columns.status();
   switch (kind_) {
     case Kind::kDecisionTree:
     case Kind::kRegressionTree:
-      return leaf_value_[FindLeaf(0, acc, nullptr)];
+      return leaf_value_[FindLeaf(0, *columns, row, nullptr)];
     case Kind::kBaggedTrees: {
       // Member order matches the source ensemble, so the sum — and its
       // rounding — is bit-identical to BaggedTreesClassifier.
       double sum = 0.0;
       for (size_t t = 0; t < roots_.size(); ++t) {
-        sum += leaf_value_[FindLeaf(t, acc, nullptr)];
+        sum += leaf_value_[FindLeaf(t, *columns, row, nullptr)];
       }
       return sum / static_cast<double>(roots_.size());
     }
@@ -348,29 +434,16 @@ double FlatModel::ScoreRow(const Accessor& acc,
       // the exact expression GradientBoostedTrees::PredictProba evaluates.
       double margin = base_score_;
       for (size_t t = 0; t < roots_.size(); ++t) {
-        margin += leaf_value_[FindLeaf(t, acc, nullptr)];
+        margin += leaf_value_[FindLeaf(t, *columns, row, nullptr)];
       }
       return 1.0 / (1.0 + std::exp(-margin));
     }
     case Kind::kM5Tree: {
-      path_scratch->clear();
-      const size_t leaf = FindLeaf(0, acc, path_scratch);
-      double prediction;
-      const int32_t offset = lm_offset_[leaf];
-      if (offset != kInvalid) {
-        prediction = lm_pool_[static_cast<size_t>(offset)];
-        for (size_t j = 0; j < lm_features_.size(); ++j) {
-          const double v = acc.Lm(j);
-          if (!std::isnan(v)) {
-            prediction += lm_pool_[static_cast<size_t>(offset) + 1 + j] * v;
-          }
-        }
-      } else {
-        prediction = node_mean_[leaf];
-      }
+      std::vector<size_t> path;
+      const size_t leaf = FindLeaf(0, *columns, row, &path);
+      double prediction = LeafModel(leaf, *columns, row);
       if (smoothing_ <= 0.0) return prediction;
       // Quinlan smoothing along the recorded root-to-leaf path.
-      const std::vector<size_t>& path = *path_scratch;
       for (size_t i = path.size() - 1; i-- > 0;) {
         const double n = node_n_[path[i + 1]];
         prediction = (n * prediction + smoothing_ * node_mean_[path[i]]) /
@@ -382,59 +455,99 @@ double FlatModel::ScoreRow(const Accessor& acc,
   return 0.0;
 }
 
-Result<double> FlatModel::PredictRow(const data::Dataset& dataset,
-                                     size_t row) const {
-  if (!compiled()) return util::FailedPreconditionError("model not compiled");
-  auto columns = ResolveColumns(dataset);
-  if (!columns.ok()) return columns.status();
-  std::vector<size_t> path;
-  return ScoreRow(ColumnAccessor{*columns, row}, &path);
-}
-
 Result<std::vector<double>> FlatModel::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!compiled()) return util::FailedPreconditionError("model not compiled");
   auto columns = ResolveColumns(dataset);
   if (!columns.ok()) return columns.status();
+  std::vector<double> out(rows.size());
+  if (rows.empty()) return out;
 
-  // Gather the batch's feature values into row-major matrices, column by
-  // column (contiguous source reads). Traversal then touches only these
-  // matrices and the SoA node pool — no column calls inside the descent,
-  // and one matrix row stays hot across every tree of an ensemble.
-  const size_t num_features = features_.size();
-  const size_t num_lm = lm_features_.size();
-  std::vector<double> numeric_vals(rows.size() * num_features, 0.0);
-  std::vector<int32_t> cat_codes(rows.size() * num_features, 0);
-  std::vector<double> lm_vals(rows.size() * num_lm, 0.0);
-  for (size_t f = 0; f < num_features; ++f) {
-    const data::Column& col = *columns->split_columns[f];
-    if (col.type() == data::ColumnType::kNumeric) {
-      const std::vector<double>& src = col.numeric_values();
-      for (size_t i = 0; i < rows.size(); ++i) {
-        numeric_vals[i * num_features + f] = src[rows[i]];
-      }
-    } else {
-      const std::vector<int32_t>& src = col.codes();
-      for (size_t i = 0; i < rows.size(); ++i) {
-        cat_codes[i * num_features + f] = src[rows[i]];
+  // One column of block values per split feature (at least one: leaf
+  // steps read slot 0), each min(rows, kBlockRows) long.
+  const size_t stride = std::min(rows.size(), kBlockRows);
+  std::vector<double> values(std::max<size_t>(1, features_.size()) * stride,
+                             0.0);
+  int32_t node[kBlockRows];
+  double sum[kBlockRows];
+  const bool ensemble = kind_ == Kind::kBaggedTrees || kind_ == Kind::kGbt;
+  const size_t trees = ensemble ? roots_.size() : 1;
+  const double start = kind_ == Kind::kGbt ? base_score_ : 0.0;
+  // A row's score from its leaf-value sum (ensembles) or its leaf
+  // (single-tree kinds; M5 evaluates the leaf model at `row`).
+  const auto finish = [&](double total, int32_t leaf, size_t row) {
+    switch (kind_) {
+      case Kind::kDecisionTree:
+      case Kind::kRegressionTree:
+        return leaf_value_[static_cast<size_t>(leaf)];
+      case Kind::kBaggedTrees:
+        return total / static_cast<double>(roots_.size());
+      case Kind::kGbt:
+        return 1.0 / (1.0 + std::exp(-total));
+      case Kind::kM5Tree:
+        break;
+    }
+    double prediction = LeafModel(static_cast<size_t>(leaf), *columns, row);
+    if (smoothing_ > 0.0) {
+      // Quinlan smoothing from the leaf up: the path FindLeaf records,
+      // walked in the same order.
+      for (int32_t child = leaf, parent;
+           (parent = parent_[static_cast<size_t>(child)]) != kInvalid;
+           child = parent) {
+        const double count = node_n_[static_cast<size_t>(child)];
+        prediction = (count * prediction +
+                      smoothing_ * node_mean_[static_cast<size_t>(parent)]) /
+                     (count + smoothing_);
       }
     }
-  }
-  for (size_t j = 0; j < num_lm; ++j) {
-    const std::vector<double>& src = columns->lm_columns[j]->numeric_values();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      lm_vals[i * num_lm + j] = src[rows[i]];
+    return prediction;
+  };
+  for (size_t begin = 0; begin < rows.size(); begin += kBlockRows) {
+    const size_t n = std::min(kBlockRows, rows.size() - begin);
+    const size_t* block = rows.data() + begin;
+    // Gather column-major; categorical codes ride along as doubles
+    // (exact), negative still meaning missing.
+    for (size_t f = 0; f < features_.size(); ++f) {
+      const data::Column& col = *columns->split_columns[f];
+      double* dst = values.data() + f * stride;
+      if (col.type() == data::ColumnType::kNumeric) {
+        const double* src = col.numeric_values().data();
+        for (size_t i = 0; i < n; ++i) dst[i] = src[block[i]];
+      } else {
+        const int32_t* src = col.codes().data();
+        for (size_t i = 0; i < n; ++i) {
+          dst[i] = static_cast<double>(src[block[i]]);
+        }
+      }
     }
-  }
-
-  std::vector<double> out;
-  out.reserve(rows.size());
-  std::vector<size_t> path;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const GatheredAccessor acc{numeric_vals.data() + i * num_features,
-                               cat_codes.data() + i * num_features,
-                               lm_vals.data() + i * num_lm};
-    out.push_back(ScoreRow(acc, &path));
+    // Groups of four rows go through the block kernel; the rest (all of a
+    // one-row request) walk alone, summing in a register: a lone row is one
+    // dependent chain, which gains more from speculating down a child than
+    // from the arithmetic pick. Either way each row starts from the base
+    // score (0 for bagging) and adds leaf values in member order — the
+    // source ensembles' own expression, so every sum rounds identically.
+    const size_t grouped = n - n % 4;
+    if (grouped > 0) {
+      std::fill(sum, sum + grouped, start);
+      for (size_t t = 0; t < trees; ++t) {
+        DescendBlock(t, values.data(), stride, grouped, node);
+        for (size_t i = 0; i < grouped; ++i) {
+          sum[i] += leaf_value_[static_cast<size_t>(node[i])];
+        }
+      }
+      for (size_t i = 0; i < grouped; ++i) {
+        out[begin + i] = finish(sum[i], node[i], block[i]);
+      }
+    }
+    for (size_t i = grouped; i < n; ++i) {
+      double total = start;
+      int32_t leaf = 0;
+      for (size_t t = 0; t < trees; ++t) {
+        leaf = WalkRow(t, values.data(), stride, i);
+        total += leaf_value_[static_cast<size_t>(leaf)];
+      }
+      out[begin + i] = finish(total, leaf, block[i]);
+    }
   }
   return out;
 }
@@ -464,17 +577,20 @@ std::string FlatModel::Serialize() const {
   out += "nodes " + std::to_string(node_count()) + "\n";
   const bool m5 = kind_ == Kind::kM5Tree;
   for (size_t id = 0; id < node_count(); ++id) {
-    out += "node\t" + std::to_string(feature_[id]) + "\t" +
-           ml::SerializeDouble(threshold_[id]) + "\t" +
-           std::to_string(static_cast<int>(missing_left_[id])) + "\t" +
-           std::to_string(left_[id]) + "\t" + std::to_string(right_[id]) +
-           "\t" + ml::SerializeDouble(leaf_value_[id]) + "\t" +
+    const Step& step = steps_[id];
+    const bool leaf = step.leaf != 0;
+    out += "node\t" + std::to_string(leaf ? kInvalid : step.slot) + "\t" +
+           ml::SerializeDouble(step.threshold) + "\t" +
+           std::to_string(static_cast<int>(step.missing_left)) + "\t" +
+           std::to_string(leaf ? kInvalid : step.child[1]) + "\t" +
+           std::to_string(leaf ? kInvalid : step.child[0]) + "\t" +
+           ml::SerializeDouble(leaf_value_[id]) + "\t" +
            ml::SerializeDouble(m5 ? node_mean_[id] : 0.0) + "\t" +
            ml::SerializeDouble(m5 ? node_n_[id] : 0.0) + "\t" +
            std::to_string(m5 ? lm_offset_[id] : kInvalid) + "\t";
-    if (is_categorical_[id] != 0) {
-      const size_t nbits = static_cast<size_t>(mask_nbits_[id]);
-      const size_t offset = static_cast<size_t>(mask_offset_[id]);
+    if (step.mask_offset != kInvalid) {
+      const size_t nbits = static_cast<size_t>(step.mask_nbits);
+      const size_t offset = static_cast<size_t>(step.mask_offset);
       for (size_t bit = 0; bit < nbits; ++bit) {
         out += ((mask_words_[offset + bit / 64] >> (bit % 64)) & 1) != 0
                    ? '1'
@@ -563,14 +679,14 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
   auto root_count = ml::ParseCountLine(cursor, "roots");
   if (!root_count.ok()) return root_count.status();
   if (*root_count == 0) return InvalidArgumentError("model has no trees");
-  flat.roots_.reserve(static_cast<size_t>(*root_count));
   for (int64_t t = 0; t < *root_count; ++t) {
     const std::string* line = cursor.Next();
     if (line == nullptr) return InvalidArgumentError("truncated root list");
     const std::vector<std::string> parts = util::Split(*line, '\t');
     int64_t root = 0;
     if (parts.size() != 2 || parts[0] != "root" ||
-        !util::ParseInt(parts[1], &root) || root < 0) {
+        !util::ParseInt(parts[1], &root) || root < 0 ||
+        root > std::numeric_limits<int32_t>::max()) {
       return InvalidArgumentError("bad root line: " + *line);
     }
     flat.roots_.push_back(static_cast<int32_t>(root));
@@ -602,19 +718,47 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
     }
     const std::string& mask = parts[10];
     const bool is_leaf = feature < 0;
-    if (!is_leaf) {
+    Step step;
+    step.threshold = threshold;
+    step.missing_left = missing != 0 ? 1 : 0;
+    if (is_leaf) {
+      step.child[0] = static_cast<int32_t>(id);
+      step.child[1] = static_cast<int32_t>(id);
+      step.leaf = 1;
+    } else {
       if (static_cast<size_t>(feature) >= flat.features_.size() ||
           left < 0 || left >= node_total || right < 0 ||
           right >= node_total) {
         return InvalidArgumentError("node references out of range: " + *line);
       }
+      // The mask field must match the feature's declared type: a numeric
+      // feature's slot holds values, not category codes.
+      const bool categorical =
+          flat.features_[static_cast<size_t>(feature)].type ==
+          data::ColumnType::kCategorical;
+      if (categorical != (mask != "-")) {
+        return InvalidArgumentError(
+            "split mask disagrees with its feature's type: " + *line);
+      }
+      step.child[0] = static_cast<int32_t>(right);
+      step.child[1] = static_cast<int32_t>(left);
+      step.slot = static_cast<int32_t>(feature);
+      if (categorical) {
+        step.mask_offset = static_cast<int32_t>(flat.mask_words_.size());
+        step.mask_nbits = static_cast<int32_t>(mask.size());
+        flat.mask_words_.resize(flat.mask_words_.size() +
+                                (mask.size() + 63) / 64);
+        for (size_t bit = 0; bit < mask.size(); ++bit) {
+          if (mask[bit] == '1') {
+            flat.mask_words_[static_cast<size_t>(step.mask_offset) +
+                             bit / 64] |= uint64_t{1} << (bit % 64);
+          } else if (mask[bit] != '0') {
+            return InvalidArgumentError("bad category mask: " + mask);
+          }
+        }
+      }
     }
-    flat.feature_.push_back(is_leaf ? kInvalid
-                                    : static_cast<int32_t>(feature));
-    flat.threshold_.push_back(threshold);
-    flat.left_.push_back(is_leaf ? kInvalid : static_cast<int32_t>(left));
-    flat.right_.push_back(is_leaf ? kInvalid : static_cast<int32_t>(right));
-    flat.missing_left_.push_back(missing != 0 ? 1 : 0);
+    flat.steps_.push_back(step);
     flat.leaf_value_.push_back(leaf_value);
     if (m5) {
       flat.node_mean_.push_back(mean);
@@ -622,24 +766,6 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
       flat.lm_offset_.push_back(lm_offset < 0
                                     ? kInvalid
                                     : static_cast<int32_t>(lm_offset));
-    }
-    if (!is_leaf && mask != "-") {
-      flat.is_categorical_.push_back(1);
-      flat.mask_offset_.push_back(static_cast<int32_t>(flat.mask_words_.size()));
-      flat.mask_nbits_.push_back(static_cast<int32_t>(mask.size()));
-      flat.mask_words_.resize(flat.mask_words_.size() + (mask.size() + 63) / 64);
-      for (size_t bit = 0; bit < mask.size(); ++bit) {
-        if (mask[bit] == '1') {
-          flat.mask_words_[static_cast<size_t>(flat.mask_offset_.back()) +
-                           bit / 64] |= uint64_t{1} << (bit % 64);
-        } else if (mask[bit] != '0') {
-          return InvalidArgumentError("bad category mask: " + mask);
-        }
-      }
-    } else {
-      flat.is_categorical_.push_back(0);
-      flat.mask_offset_.push_back(kInvalid);
-      flat.mask_nbits_.push_back(0);
     }
   }
   for (int32_t root : flat.roots_) {
@@ -675,6 +801,7 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
       }
     }
   }
+  ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
 }
 

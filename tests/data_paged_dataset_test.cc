@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -216,6 +218,71 @@ TEST(PagedDatasetTest, TruncatedPageFails) {
 
   std::filesystem::remove(page_path);
   EXPECT_FALSE(paged->ReadPage(2).ok());
+}
+
+// Overwrites `bytes` at `offset` in a page-format file and re-signs it
+// with a valid FNV-1a checksum, so only the decoder's own checks stand
+// between the forged counts and an allocation.
+template <typename T>
+void ForgeField(const std::string& path, size_t offset, T value) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GE(bytes.size(), offset + sizeof(T) + 8);
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  uint64_t hash = 14695981039346656037ULL;
+  for (size_t i = 0; i + 8 < bytes.size(); ++i) {
+    hash ^= static_cast<unsigned char>(bytes[i]);
+    hash *= 1099511628211ULL;
+  }
+  std::memcpy(bytes.data() + bytes.size() - 8, &hash, 8);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+// pages.meta: magic, u32 version, then u64 page_rows, num_pages,
+// total_rows, u32 num_columns, then per column u8 type, u32-length name,
+// u32 category count. AwkwardDataset's columns are "x" then "kind".
+constexpr size_t kMetaPageRows = 8;
+constexpr size_t kMetaNumPages = 16;
+constexpr size_t kMetaTotalRows = 24;
+constexpr size_t kMetaKindCategories = 36 + (1 + 4 + 1 + 4) + (1 + 4 + 4);
+// page file: magic, u32 version, u64 page_index, then u64 num_rows.
+constexpr size_t kPageNumRows = 16;
+
+TEST(PagedDatasetTest, ForgedCategoryCountIsDataLossNotAnAllocation) {
+  const Dataset ds = AwkwardDataset();
+  const std::string dir = WritePages(ds, /*page_rows=*/5, "forged_meta");
+  ForgeField<uint32_t>(dir + "/pages.meta", kMetaKindCategories, 0xFFFFFFFFu);
+  auto paged = PagedDataset::Open(dir);
+  ASSERT_FALSE(paged.ok());
+  EXPECT_EQ(paged.status().code(), util::StatusCode::kDataLoss);
+}
+
+TEST(PagedDatasetTest, ForgedRowCountsAreDataLossNotAnAllocation) {
+  const Dataset ds = AwkwardDataset();
+  const std::string dir = WritePages(ds, /*page_rows=*/5, "forged_rows");
+  // A consistent meta claiming one page of 2^50 rows, and a first page
+  // whose header agrees: the payload cannot hold them.
+  const uint64_t huge = uint64_t{1} << 50;
+  ForgeField<uint64_t>(dir + "/pages.meta", kMetaPageRows, huge);
+  ForgeField<uint64_t>(dir + "/pages.meta", kMetaNumPages, 1);
+  ForgeField<uint64_t>(dir + "/pages.meta", kMetaTotalRows, huge);
+  ForgeField<uint64_t>(dir + "/page_000000.rmpg", kPageNumRows, huge);
+  auto paged = PagedDataset::Open(dir);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  auto page = paged->ReadPage(0);
+  ASSERT_FALSE(page.ok());
+  EXPECT_EQ(page.status().code(), util::StatusCode::kDataLoss);
+
+  // A row total so large that rounding it up to whole pages wraps.
+  ForgeField<uint64_t>(dir + "/pages.meta", kMetaPageRows, 2);
+  ForgeField<uint64_t>(dir + "/pages.meta", kMetaNumPages, 0);
+  ForgeField<uint64_t>(dir + "/pages.meta", kMetaTotalRows, ~uint64_t{0});
+  auto wrapped = PagedDataset::Open(dir);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), util::StatusCode::kDataLoss);
 }
 
 }  // namespace

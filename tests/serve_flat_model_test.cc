@@ -1,11 +1,15 @@
 // FlatModel equivalence enforcement: compiled predictions must be
-// bit-identical to the source model on every dataset, including missing
-// values and categorical splits, and invariant to the scoring thread count.
+// bit-identical to the source model on every dataset and row list (partial,
+// reversed and repeated 64-row blocks included), including missing values
+// and categorical splits, and invariant to the scoring thread count.
 #include "serve/flat_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,12 +17,14 @@
 #include "exec/executor.h"
 #include "ml/bagging.h"
 #include "ml/decision_tree.h"
+#include "ml/gradient_boosting.h"
 #include "ml/m5_tree.h"
 #include "ml/regression_tree.h"
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
 #include "serve/scoring_service.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace roadmine::serve {
 namespace {
@@ -44,6 +50,44 @@ std::vector<size_t> AllRows(const data::Dataset& ds) {
   return ds.AllRowIndices();
 }
 
+// Row lists around the 64-row scoring block: short, exact, one past, two
+// blocks plus change, every row reversed, and a list that repeats rows.
+std::vector<std::vector<size_t>> RowLists(const data::Dataset& ds) {
+  std::vector<std::vector<size_t>> lists;
+  for (size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    std::vector<size_t> rows(n);
+    for (size_t i = 0; i < n; ++i) rows[i] = (i * 37 + 11) % ds.num_rows();
+    lists.push_back(std::move(rows));
+  }
+  std::vector<size_t> reversed = ds.AllRowIndices();
+  std::reverse(reversed.begin(), reversed.end());
+  lists.push_back(std::move(reversed));
+  std::vector<size_t> repeated;
+  for (size_t i = 0; i < 150; ++i) repeated.push_back((i % 7) * (i % 5));
+  lists.push_back(std::move(repeated));
+  return lists;
+}
+
+// The flat model scores every row list exactly as the source model does,
+// and its batch path agrees with PredictRow on every row.
+void ExpectSameScores(const ml::Predictor& source, const FlatModel& flat,
+                      const data::Dataset& ds) {
+  for (const std::vector<size_t>& rows : RowLists(ds)) {
+    auto want = source.PredictBatch(ds, rows);
+    auto got = flat.PredictBatch(ds, rows);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*want, *got) << rows.size() << " rows";
+  }
+  auto batch = flat.PredictBatch(ds, AllRows(ds));
+  ASSERT_TRUE(batch.ok());
+  for (size_t r = 0; r < ds.num_rows(); ++r) {
+    auto one = flat.PredictRow(ds, r);
+    ASSERT_TRUE(one.ok());
+    ASSERT_EQ(*one, (*batch)[r]) << "row " << r;
+  }
+}
+
 TEST(FlatModelTest, DecisionTreeBitIdentity) {
   data::Dataset ds = RoadDataset(3000, 21);
   ml::DecisionTreeClassifier tree{
@@ -64,13 +108,7 @@ TEST(FlatModelTest, DecisionTreeBitIdentity) {
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*want, *got);  // Bit-identical, not merely close.
-
-  // The single-row path agrees with the batch path.
-  for (size_t r = 0; r < ds.num_rows(); r += 97) {
-    auto one = flat->PredictRow(ds, r);
-    ASSERT_TRUE(one.ok());
-    EXPECT_EQ(*one, (*want)[r]);
-  }
+  ExpectSameScores(tree, *flat, ds);
 }
 
 TEST(FlatModelTest, BaggedEnsembleBitIdentity) {
@@ -92,6 +130,7 @@ TEST(FlatModelTest, BaggedEnsembleBitIdentity) {
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*want, *got);
+  ExpectSameScores(bagged, *flat, ds);
 }
 
 TEST(FlatModelTest, RegressionTreeBitIdentity) {
@@ -109,6 +148,7 @@ TEST(FlatModelTest, RegressionTreeBitIdentity) {
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*want, *got);
+  ExpectSameScores(tree, *flat, ds);
 }
 
 TEST(FlatModelTest, M5TreeBitIdentityWithSmoothing) {
@@ -129,41 +169,78 @@ TEST(FlatModelTest, M5TreeBitIdentityWithSmoothing) {
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*want, *got);
+  ExpectSameScores(m5, *flat, ds);
+}
+
+TEST(FlatModelTest, GbtBitIdentity) {
+  data::Dataset ds = RoadDataset(2500, 27);
+  ml::GradientBoostedTreesParams params;
+  params.num_trees = 12;
+  params.max_depth = 4;
+  ml::GradientBoostedTrees gbt(params);
+  ASSERT_TRUE(gbt.Fit(ds, core::ThresholdTargetName(4),
+                      roadgen::RoadAttributeColumns(), ds.AllRowIndices())
+                  .ok());
+  auto flat = CompileModel(gbt);
+  ASSERT_TRUE(flat.ok());
+  EXPECT_EQ(flat->kind(), FlatModel::Kind::kGbt);
+  EXPECT_EQ(flat->tree_count(), 12u);
+  ExpectSameScores(gbt, *flat, ds);
 }
 
 TEST(FlatModelTest, HandRolledMissingAndCategoricalBitIdentity) {
-  // Explicit NaNs and a categorical split so both routing branches and the
-  // category bitmask path are exercised deterministically.
+  // Explicit NaNs and categorical splits so both routing branches and the
+  // category bitmask path are exercised deterministically. `district` has
+  // 90 levels, so its split masks span two 64-bit words.
   util::Rng rng(7);
   std::vector<double> x, y;
-  std::vector<std::string> surface;
+  std::vector<std::string> surface, district;
   for (size_t i = 0; i < 1200; ++i) {
     const double xi = rng.Uniform(0.0, 10.0);
     const bool chip = rng.Bernoulli(0.4);
+    const int64_t level = rng.UniformInt(0, 89);
     x.push_back(rng.Bernoulli(0.1) ? std::numeric_limits<double>::quiet_NaN()
                                    : xi);
     surface.push_back(chip ? "chip_seal" : (rng.Bernoulli(0.3) ? "concrete"
                                                                : "asphalt"));
-    y.push_back((xi > 5.0 || chip) ? 1.0 : 0.0);
+    district.push_back(rng.Bernoulli(0.05) ? std::string()
+                                           : std::to_string(level));
+    y.push_back((xi > 5.0 || chip || level % 9 == 4) ? 1.0 : 0.0);
   }
   data::Dataset ds;
   ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
   ASSERT_TRUE(
       ds.AddColumn(data::Column::CategoricalFromStrings("surface", surface))
           .ok());
+  ASSERT_TRUE(
+      ds.AddColumn(data::Column::CategoricalFromStrings("district", district))
+          .ok());
   ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
 
   ml::DecisionTreeClassifier tree{
       ml::DecisionTreeParams{.min_samples_leaf = 15}};
-  ASSERT_TRUE(tree.Fit(ds, "y", {"x", "surface"}, ds.AllRowIndices()).ok());
+  ASSERT_TRUE(
+      tree.Fit(ds, "y", {"x", "surface", "district"}, ds.AllRowIndices())
+          .ok());
   auto flat = CompileModel(tree);
   ASSERT_TRUE(flat.ok());
+
+  // Some serialized split carries a mask wider than one word.
+  bool wide_mask = false;
+  for (const std::string& line : util::Split(flat->Serialize(), '\n')) {
+    const std::vector<std::string> parts = util::Split(line, '\t');
+    if (parts.size() == 11 && parts[0] == "node" && parts[10].size() > 64) {
+      wide_mask = true;
+    }
+  }
+  EXPECT_TRUE(wide_mask);
 
   auto want = tree.PredictBatch(ds, AllRows(ds));
   auto got = flat->PredictBatch(ds, AllRows(ds));
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*want, *got);
+  ExpectSameScores(tree, *flat, ds);
 }
 
 TEST(FlatModelTest, CompiledFormSurvivesItsOwnRoundTrip) {
@@ -180,6 +257,7 @@ TEST(FlatModelTest, CompiledFormSurvivesItsOwnRoundTrip) {
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->kind(), flat->kind());
   EXPECT_EQ(reloaded->node_count(), flat->node_count());
+  EXPECT_EQ(reloaded->Serialize(), flat->Serialize());
 
   auto want = flat->PredictBatch(ds, AllRows(ds));
   auto got = reloaded->PredictBatch(ds, AllRows(ds));

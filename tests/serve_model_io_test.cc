@@ -20,6 +20,7 @@
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
 #include "serve/flat_model.h"
+#include "util/string_util.h"
 
 namespace roadmine::serve {
 namespace {
@@ -175,6 +176,95 @@ TEST(ModelIoTest, UnknownColumnRejected) {
   data::Dataset wrong;
   ASSERT_TRUE(wrong.AddColumn(data::Column::Numeric("unrelated", {1.0})).ok());
   EXPECT_FALSE(LoadPredictor(blob, wrong).ok());
+}
+
+// A two-feature scoring schema and a hand-written compiled tree over it:
+// the root splits on x, its left child on surface, three leaves.
+data::Dataset XSurfaceDataset() {
+  data::Dataset ds;
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("x", {1.0, 7.0, 3.0})).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::CategoricalFromStrings(
+                               "surface", {"asphalt", "chip_seal", "chip_seal"}))
+                  .ok());
+  return ds;
+}
+
+struct FlatText {
+  std::string roots = "roots 1\nroot\t0\n";
+  std::string root = "node\t0\t5\t1\t1\t2\t0\t0\t0\t-1\t-";
+  std::string split = "node\t1\t0\t0\t3\t4\t0\t0\t0\t-1\t01";
+
+  std::string Render() const {
+    return std::string("roadmine-flat-model v1\nkind\tdecision_tree\n"
+                       "smoothing\t0\nfeatures 2\nfeature\tx\tnumeric\n"
+                       "feature\tsurface\tcategorical\nfeatures 0\n") +
+           roots + "nodes 5\n" + root + "\n" + split + "\n" +
+           "node\t-1\t0\t1\t-1\t-1\t0.75\t0\t0\t-1\t-\n"
+           "node\t-1\t0\t1\t-1\t-1\t0.5\t0\t0\t-1\t-\n"
+           "node\t-1\t0\t1\t-1\t-1\t0.25\t0\t0\t-1\t-\n"
+           "lm_pool 0\n";
+  }
+};
+
+TEST(ModelIoTest, FlatModelRejectsNodesThatDoNotFormTrees) {
+  const data::Dataset ds = XSurfaceDataset();
+  auto valid = FlatModel::Deserialize(FlatText{}.Render(), ds);
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  EXPECT_EQ(*valid->PredictRow(ds, 0), 0.25);  // x <= 5, asphalt: right.
+  EXPECT_EQ(*valid->PredictRow(ds, 1), 0.75);  // x > 5.
+  EXPECT_EQ(*valid->PredictRow(ds, 2), 0.5);   // x <= 5, chip_seal: left.
+  EXPECT_EQ(valid->Serialize(), FlatText{}.Render());
+
+  FlatText cycle;  // The root is its own child.
+  cycle.root = "node\t0\t5\t1\t0\t0\t0\t0\t0\t-1\t-";
+  FlatText back_edge;  // The left child routes back to the root.
+  back_edge.split = "node\t1\t0\t0\t0\t4\t0\t0\t0\t-1\t01";
+  FlatText shared_child;  // Both root children are node 1.
+  shared_child.root = "node\t0\t5\t1\t1\t1\t0\t0\t0\t-1\t-";
+  FlatText shared_root;  // Two trees on one root.
+  shared_root.roots = "roots 2\nroot\t0\nroot\t0\n";
+  FlatText nested_root;  // A second tree rooted inside the first.
+  nested_root.roots = "roots 2\nroot\t0\nroot\t1\n";
+  FlatText wide_root;  // Past int32: must not wrap to a negative index.
+  wide_root.roots = "roots 1\nroot\t2147483648\n";
+  for (const FlatText& bad :
+       {cycle, back_edge, shared_child, shared_root, nested_root, wide_root}) {
+    auto loaded = FlatModel::Deserialize(bad.Render(), ds);
+    EXPECT_FALSE(loaded.ok()) << bad.roots << bad.root << "\n" << bad.split;
+  }
+
+  // The same defect in a compiled model's own text: the root's children
+  // rewritten to "0 0".
+  data::Dataset road = RoadDataset(800, 3);
+  ml::DecisionTreeClassifier dt{
+      ml::DecisionTreeParams{.min_samples_leaf = 30}};
+  ASSERT_TRUE(dt.Fit(road, core::ThresholdTargetName(4),
+                     roadgen::RoadAttributeColumns(), road.AllRowIndices())
+                  .ok());
+  auto flat = CompileModel(dt);
+  ASSERT_TRUE(flat.ok());
+  ASSERT_GT(flat->node_count(), 1u);
+  std::string text = flat->Serialize();
+  const size_t line = text.find("\nnode\t") + 1;
+  const size_t length = text.find('\n', line) - line;
+  std::vector<std::string> parts = util::Split(text.substr(line, length), '\t');
+  ASSERT_EQ(parts.size(), 11u);
+  parts[4] = "0";
+  parts[5] = "0";
+  text.replace(line, length, util::Join(parts, "\t"));
+  EXPECT_FALSE(FlatModel::Deserialize(text, road).ok());
+}
+
+TEST(ModelIoTest, FlatModelRejectsMasksThatDisagreeWithTheFeatureType) {
+  const data::Dataset ds = XSurfaceDataset();
+  FlatText numeric_with_mask;  // x is numeric: a mask would read codes.
+  numeric_with_mask.root = "node\t0\t5\t1\t1\t2\t0\t0\t0\t-1\t01";
+  FlatText categorical_without_mask;
+  categorical_without_mask.split =
+      "node\t1\t0\t0\t3\t4\t0\t0\t0\t-1\t-";
+  EXPECT_FALSE(FlatModel::Deserialize(numeric_with_mask.Render(), ds).ok());
+  EXPECT_FALSE(
+      FlatModel::Deserialize(categorical_without_mask.Render(), ds).ok());
 }
 
 }  // namespace

@@ -162,19 +162,44 @@ void ExpectSameProgram(const core::WorksProgram& got,
   }
 }
 
-TEST(BuildWorksProgramPagedTest, ReproducesTheInRamProgram) {
-  const Fixture fx = TrainedFixture();
-  core::DeploymentConfig config;
-  config.max_segments = 30;
-  auto want = core::BuildWorksProgram(fx.table, *fx.model, config);
-  ASSERT_TRUE(want.ok());
+// A source that does not know its length up front, so the works builder
+// must spend its counting pass.
+class UnsizedSource : public data::RowSource {
+ public:
+  explicit UnsizedSource(data::RowSource& inner) : inner_(inner) {}
+  const data::TableSchema& schema() const override { return inner_.schema(); }
+  util::Status Reset() override { return inner_.Reset(); }
+  util::Result<const data::Dataset*> Next() override { return inner_.Next(); }
 
-  for (const size_t chunk_rows : {size_t{17}, size_t{128}}) {
-    data::DatasetSource source(fx.table, fx.table.AllRowIndices(),
-                               chunk_rows);
-    auto got = core::BuildWorksProgramPaged(source, *fx.model, config);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectSameProgram(*got, *want);
+ private:
+  data::RowSource& inner_;
+};
+
+TEST(BuildWorksProgramPagedTest, ReproducesTheInRamProgram) {
+  // The fixture's decile is 40 rows: caps below, at, just past and far
+  // past it, where the program's lines outnumber the decile.
+  const Fixture fx = TrainedFixture();
+  for (const size_t max_segments :
+       {size_t{1}, size_t{30}, size_t{40}, size_t{41}, size_t{400}}) {
+    core::DeploymentConfig config;
+    config.max_segments = max_segments;
+    auto want = core::BuildWorksProgram(fx.table, *fx.model, config);
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(want->segments.size(), std::min<size_t>(max_segments, 400));
+
+    for (const size_t chunk_rows : {size_t{17}, size_t{128}}) {
+      data::DatasetSource source(fx.table, fx.table.AllRowIndices(),
+                                 chunk_rows);
+      auto got = core::BuildWorksProgramPaged(source, *fx.model, config);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameProgram(*got, *want);
+
+      UnsizedSource unsized(source);
+      ASSERT_FALSE(unsized.TotalRowsHint().has_value());
+      auto counted = core::BuildWorksProgramPaged(unsized, *fx.model, config);
+      ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+      ExpectSameProgram(*counted, *want);
+    }
   }
 }
 
