@@ -9,7 +9,6 @@
 #ifndef ROADMINE_CORE_DEPLOYMENT_H_
 #define ROADMINE_CORE_DEPLOYMENT_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,11 +18,6 @@
 #include "util/status.h"
 
 namespace roadmine::core {
-
-// Legacy model hook: P(crash-prone) for one dataset row. New call sites
-// should hand BuildWorksProgram an ml::Predictor (any trained model or a
-// compiled serve::FlatModel); this alias remains for ad-hoc lambdas.
-using SegmentScorer = std::function<double(const data::Dataset&, size_t row)>;
 
 struct RankedSegment {
   int64_t segment_id = 0;
@@ -59,35 +53,29 @@ struct DeploymentConfig {
   double roughness_ceiling = 4.0;   // IRI.
 };
 
-// Scores every row of the segment-level dataset (one row per segment; see
-// roadgen::BuildSegmentDataset) through the model's batch path and
-// assembles the ranked program. Accepts any ml::Predictor — a trained
-// classifier, a loaded model, or a compiled serve::FlatModel.
-[[nodiscard]] util::Result<WorksProgram> BuildWorksProgram(const data::Dataset& segments,
-                                             const ml::Predictor& model,
-                                             const DeploymentConfig& config = {});
-
-// Streaming variant: scores `segments` one page at a time and ranks from
-// bounded heaps — two of rows/10 bare (row, key) pairs for the top-decile
-// agreement (by probability, by observed count) and one of
-// config.max_segments program lines — so memory use is one page plus
+// The works-program engine. Scores `segments` one chunk at a time through
+// the model's batch path (any ml::Predictor: a trained model, a loaded
+// one, or a compiled serve::FlatModel) and ranks from three bounded
+// util::TopK heaps: two of rows/10 bare (row, key) pairs for the
+// top-decile agreement (by probability, by observed count) and one of
+// config.max_segments program lines. Memory use is one chunk plus
 // 2 x decile pairs plus max_segments lines, never the whole network. A
 // line (id, counts, treatments) is assembled only for a row that enters
-// the line heap. Produces a WorksProgram identical to BuildWorksProgram
-// on the materialized stream (same ranking, tie-breaks, treatments, and
-// top-decile agreement). With max_segments == 0 every row is listed, so
-// that configuration is inherently O(rows); give a cap for out-of-core
+// the line heap. Every heap ranks by util::TopK's order (key descending,
+// row ascending), a total order, so the program is the same for any
+// chunking of the same rows. With max_segments == 0 every row is listed,
+// so that configuration is inherently O(rows); give a cap for out-of-core
 // use. Sources without a TotalRowsHint() cost one extra counting pass to
 // fix the decile size up front.
 [[nodiscard]] util::Result<WorksProgram> BuildWorksProgramPaged(
     data::RowSource& segments, const ml::Predictor& model,
     const DeploymentConfig& config = {});
 
-// Thin adapter for legacy std::function call sites; scores row-by-row and
-// assembles the same program.
-[[nodiscard]] util::Result<WorksProgram> BuildWorksProgram(const data::Dataset& segments,
-                                             const SegmentScorer& scorer,
-                                             const DeploymentConfig& config = {});
+// The engine over an in-RAM segment-level dataset (one row per segment;
+// see roadgen::BuildSegmentDataset), streamed as one zero-copy chunk.
+[[nodiscard]] util::Result<WorksProgram> BuildWorksProgram(
+    const data::Dataset& segments, const ml::Predictor& model,
+    const DeploymentConfig& config = {});
 
 // Text rendering for operations review.
 std::string RenderWorksProgram(const WorksProgram& program,

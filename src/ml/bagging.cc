@@ -181,7 +181,6 @@ util::Result<BaggedTreesClassifier> BaggedTreesClassifier::Deserialize(
   }
 
   BaggedTreesClassifier ensemble;
-  ensemble.trees_.reserve(static_cast<size_t>(tree_count));
   for (int64_t t = 0; t < tree_count; ++t) {
     const std::string* marker = next_line();
     if (marker == nullptr || *marker != "tree " + std::to_string(t)) {

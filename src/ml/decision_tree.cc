@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <optional>
 #include <queue>
 
 #include "exec/executor.h"
 #include "ml/feature_index.h"
 #include "ml/histogram_index.h"
+#include "ml/serialize.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "stats/distributions.h"
@@ -886,21 +886,15 @@ std::string DecisionTreeClassifier::Serialize() const {
   // Line-oriented, tab-separated. Category-set descriptions go last on the
   // node line because they may contain spaces (never tabs).
   std::string out = kSerializationHeader;
-  out += "\nfeatures " + std::to_string(features_.size()) + "\n";
-  for (const FeatureRef& ref : features_) {
-    out += "feature\t" + ref.name + "\t";
-    out += ref.type == data::ColumnType::kNumeric ? "numeric" : "categorical";
-    out += "\n";
-  }
+  out += "\n";
+  AppendFeatureSection(features_, &out);
   out += "nodes " + std::to_string(nodes_.size()) + "\n";
   for (const Node& node : nodes_) {
     out += "node\t";
     out += std::to_string(node.is_leaf ? 1 : 0) + "\t";
     out += std::to_string(node.depth) + "\t";
     out += std::to_string(node.feature) + "\t";
-    char threshold[64];
-    std::snprintf(threshold, sizeof(threshold), "%.17g", node.threshold);
-    out += std::string(threshold) + "\t";
+    out += SerializeDouble(node.threshold) + "\t";
     out += std::to_string(node.missing_goes_left ? 1 : 0) + "\t";
     out += std::to_string(node.left) + "\t";
     out += std::to_string(node.right) + "\t";
@@ -921,59 +915,22 @@ std::string DecisionTreeClassifier::Serialize() const {
 
 util::Result<DecisionTreeClassifier> DecisionTreeClassifier::Deserialize(
     const std::string& text, const data::Dataset& dataset) {
-  const std::vector<std::string> lines = util::Split(text, '\n');
-  size_t line = 0;
-  auto next_line = [&]() -> const std::string* {
-    while (line < lines.size() && lines[line].empty()) ++line;
-    return line < lines.size() ? &lines[line++] : nullptr;
-  };
-
-  const std::string* header = next_line();
+  LineCursor cursor(text);
+  const std::string* header = cursor.Next();
   if (header == nullptr || *header != kSerializationHeader) {
     return InvalidArgumentError("bad serialization header");
   }
 
   DecisionTreeClassifier tree;
-  const std::string* count_line = next_line();
-  int64_t feature_count = 0;
-  if (count_line == nullptr ||
-      !util::StartsWith(*count_line, "features ") ||
-      !util::ParseInt(count_line->substr(9), &feature_count) ||
-      feature_count <= 0) {
-    return InvalidArgumentError("bad feature count line");
-  }
-  for (int64_t i = 0; i < feature_count; ++i) {
-    const std::string* feature_line = next_line();
-    if (feature_line == nullptr) {
-      return InvalidArgumentError("truncated feature list");
-    }
-    const std::vector<std::string> parts = util::Split(*feature_line, '\t');
-    if (parts.size() != 3 || parts[0] != "feature") {
-      return InvalidArgumentError("bad feature line: " + *feature_line);
-    }
-    auto index = dataset.ColumnIndex(parts[1]);
-    if (!index.ok()) return index.status();
-    FeatureRef ref;
-    ref.name = parts[1];
-    ref.column_index = *index;
-    ref.type = dataset.column(*index).type();
-    const bool expect_numeric = parts[2] == "numeric";
-    if (expect_numeric != (ref.type == data::ColumnType::kNumeric)) {
-      return InvalidArgumentError("schema mismatch for feature '" +
-                                  parts[1] + "'");
-    }
-    tree.features_.push_back(std::move(ref));
-  }
+  auto features = ParseFeatureSection(cursor, dataset);
+  if (!features.ok()) return features.status();
+  tree.features_ = std::move(*features);
 
-  const std::string* nodes_line = next_line();
-  int64_t node_count = 0;
-  if (nodes_line == nullptr || !util::StartsWith(*nodes_line, "nodes ") ||
-      !util::ParseInt(nodes_line->substr(6), &node_count) ||
-      node_count <= 0) {
-    return InvalidArgumentError("bad node count line");
-  }
-  for (int64_t i = 0; i < node_count; ++i) {
-    const std::string* node_line = next_line();
+  auto node_count = ParseCountLine(cursor, "nodes");
+  if (!node_count.ok()) return node_count.status();
+  if (*node_count <= 0) return InvalidArgumentError("no nodes");
+  for (int64_t i = 0; i < *node_count; ++i) {
+    const std::string* node_line = cursor.Next();
     if (node_line == nullptr) return InvalidArgumentError("truncated nodes");
     const std::vector<std::string> parts = util::Split(*node_line, '\t');
     if (parts.size() != 13 || parts[0] != "node") {
@@ -1005,18 +962,11 @@ util::Result<DecisionTreeClassifier> DecisionTreeClassifier::Deserialize(
       return InvalidArgumentError("bad missing direction");
     }
     node.missing_goes_left = value != 0;
-    if (!util::ParseInt(parts[6], &value)) {
+    if (!ParseChild(parts[6], &node.left)) {
       return InvalidArgumentError("bad left child");
     }
-    node.left = static_cast<int>(value);
-    if (!util::ParseInt(parts[7], &value)) {
+    if (!ParseChild(parts[7], &node.right)) {
       return InvalidArgumentError("bad right child");
-    }
-    node.right = static_cast<int>(value);
-    if (!node.is_leaf &&
-        (node.left < 0 || node.left >= node_count || node.right < 0 ||
-         node.right >= node_count)) {
-      return InvalidArgumentError("child index out of range");
     }
     if (!util::ParseInt(parts[8], &value) || value < 0) {
       return InvalidArgumentError("bad negative count");
@@ -1039,7 +989,8 @@ util::Result<DecisionTreeClassifier> DecisionTreeClassifier::Deserialize(
     node.right_set_desc = parts[12];
     tree.nodes_.push_back(std::move(node));
   }
-  if (tree.nodes_.empty()) return InvalidArgumentError("no nodes");
+  ROADMINE_RETURN_IF_ERROR(CheckTreeLinks(
+      tree.nodes_, [](const Node& node) { return node.is_leaf; }));
   return tree;
 }
 

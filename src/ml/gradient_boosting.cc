@@ -1094,8 +1094,7 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Deserialize(
     auto node_count = ParseCountLine(cursor, "tree");
     if (!node_count.ok()) return node_count.status();
     if (*node_count <= 0) return InvalidArgumentError("empty tree block");
-    std::vector<Node> tree;
-    tree.reserve(static_cast<size_t>(*node_count));
+    std::vector<Node> tree;  // Not reserved: the count is unchecked.
     for (int64_t i = 0; i < *node_count; ++i) {
       const std::string* line = cursor.Next();
       if (line == nullptr) return InvalidArgumentError("truncated tree");
@@ -1124,18 +1123,11 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Deserialize(
         return InvalidArgumentError("bad missing direction");
       }
       node.missing_goes_left = value != 0;
-      if (!util::ParseInt(parts[5], &value)) {
+      if (!ParseChild(parts[5], &node.left)) {
         return InvalidArgumentError("bad left child");
       }
-      node.left = static_cast<int>(value);
-      if (!util::ParseInt(parts[6], &value)) {
+      if (!ParseChild(parts[6], &node.right)) {
         return InvalidArgumentError("bad right child");
-      }
-      node.right = static_cast<int>(value);
-      if (!is_leaf &&
-          (node.left < 0 || node.left >= *node_count || node.right < 0 ||
-           node.right >= *node_count)) {
-        return InvalidArgumentError("child index out of range");
       }
       if (!util::ParseDouble(parts[7], &node.leaf_value)) {
         return InvalidArgumentError("bad leaf value");
@@ -1151,6 +1143,8 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Deserialize(
       }
       tree.push_back(std::move(node));
     }
+    ROADMINE_RETURN_IF_ERROR(CheckTreeLinks(
+        tree, [](const Node& node) { return node.feature < 0; }));
     model.trees_.push_back(std::move(tree));
   }
   return model;

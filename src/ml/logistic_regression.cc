@@ -140,15 +140,16 @@ util::Result<LogisticRegression> LogisticRegression::Deserialize(
 
   auto weight_count = ParseCountLine(cursor, "weights");
   if (!weight_count.ok()) return weight_count.status();
-  model.weights_.resize(static_cast<size_t>(*weight_count));
   for (int64_t j = 0; j < *weight_count; ++j) {
     const std::string* line = cursor.Next();
     if (line == nullptr) return InvalidArgumentError("truncated weights");
     const std::vector<std::string> parts = util::Split(*line, '\t');
+    double weight = 0.0;
     if (parts.size() != 2 || parts[0] != "w" ||
-        !util::ParseDouble(parts[1], &model.weights_[static_cast<size_t>(j)])) {
+        !util::ParseDouble(parts[1], &weight)) {
       return InvalidArgumentError("bad weight line: " + *line);
     }
+    model.weights_.push_back(weight);
   }
 
   const std::string* marker = cursor.Next();

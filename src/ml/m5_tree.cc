@@ -238,8 +238,7 @@ util::Result<M5Tree> M5Tree::Deserialize(const std::string& text,
     size_t id;
     LeafModel model;
   };
-  std::vector<PendingModel> pending;
-  pending.reserve(static_cast<size_t>(*model_count));
+  std::vector<PendingModel> pending;  // Not reserved: the count is unchecked.
   const size_t d = tree.numeric_features_.size();
   for (int64_t i = 0; i < *model_count; ++i) {
     const std::string* line = cursor.Next();

@@ -263,7 +263,6 @@ util::Result<NeuralNetClassifier> NeuralNetClassifier::Deserialize(
   auto layer_count = ParseCountLine(cursor, "layers");
   if (!layer_count.ok()) return layer_count.status();
   if (*layer_count == 0) return InvalidArgumentError("network has no layers");
-  net.layers_.reserve(static_cast<size_t>(*layer_count));
   for (int64_t l = 0; l < *layer_count; ++l) {
     const std::string* line = cursor.Next();
     if (line == nullptr) return InvalidArgumentError("truncated layer list");
@@ -277,7 +276,12 @@ util::Result<NeuralNetClassifier> NeuralNetClassifier::Deserialize(
     Layer layer;
     layer.in = static_cast<size_t>(in);
     layer.out = static_cast<size_t>(out_width);
-    layer.weights.resize(layer.in * layer.out);
+    if (!net.layers_.empty() && layer.in != net.layers_.back().out) {
+      return InvalidArgumentError("layer input width does not match the "
+                                  "previous layer's output width");
+    }
+    // Weights grow a checked row at a time: the header's widths alone
+    // never size an allocation.
     for (size_t o = 0; o < layer.out; ++o) {
       const std::string* row = cursor.Next();
       if (row == nullptr) return InvalidArgumentError("truncated weight rows");
@@ -286,10 +290,11 @@ util::Result<NeuralNetClassifier> NeuralNetClassifier::Deserialize(
         return InvalidArgumentError("bad weight row: " + *row);
       }
       for (size_t i = 0; i < layer.in; ++i) {
-        if (!util::ParseDouble(row_parts[1 + i],
-                               &layer.weights[o * layer.in + i])) {
+        double weight = 0.0;
+        if (!util::ParseDouble(row_parts[1 + i], &weight)) {
           return InvalidArgumentError("bad weight value");
         }
+        layer.weights.push_back(weight);
       }
     }
     const std::string* bias_line = cursor.Next();

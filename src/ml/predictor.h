@@ -2,15 +2,17 @@
 //
 // Before this interface existed, every model family exposed its own batch
 // call shape (PredictProbaMany, PredictMany, a Status-out-parameter
-// PredictProbaBatch) and deployment code took raw std::function hooks.
-// Predictor collapses all of them into one batch-first contract:
+// PredictProbaBatch) and deployment code took a per-row std::function
+// hook. Predictor collapses all of them into one batch-first contract,
+// and is the only model type deployment accepts:
 //
 //   * PredictBatch scores many rows in one call and returns the scores as
 //     a util::Result — classifiers yield P(positive), regressors yield the
 //     predicted target value;
-//   * scoring layers (eval harnesses, serve::ScoringService,
-//     core::BuildWorksProgram) hold a `const Predictor&` and never care
-//     which concrete family is behind it;
+//   * scoring layers (eval harnesses, serve::ScoringService, the
+//     works-program engine core::BuildWorksProgramPaged and its in-RAM
+//     entry point core::BuildWorksProgram) hold a `const Predictor&` and
+//     never care which concrete family is behind it;
 //   * concrete models stay value types with non-virtual hot paths; the
 //     virtual call happens once per batch, not once per row.
 #ifndef ROADMINE_ML_PREDICTOR_H_

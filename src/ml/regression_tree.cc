@@ -283,8 +283,9 @@ Status RegressionTree::Fit(const data::Dataset& dataset,
 
   // The indexed path requires strictly ascending fit rows for bit-identity
   // (see FitContext::workspace); any other row set silently keeps the
-  // legacy per-node sorts. In practice every regression fit in this
-  // codebase trains on ascending row sets.
+  // legacy per-node sorts. That includes every study fit: core::Study's
+  // regression trees and M5 structures train on the rows of
+  // data::StratifiedTrainValidationSplit, which come shuffled.
   const FeatureIndex* index = nullptr;
   std::optional<FeatureIndex> local_index;
   std::optional<IndexedSplitWorkspace> workspace;
@@ -601,18 +602,11 @@ util::Result<RegressionTree> RegressionTree::Deserialize(
       return InvalidArgumentError("bad missing direction");
     }
     node.missing_goes_left = value != 0;
-    if (!util::ParseInt(parts[6], &value)) {
+    if (!ParseChild(parts[6], &node.left)) {
       return InvalidArgumentError("bad left child");
     }
-    node.left = static_cast<int>(value);
-    if (!util::ParseInt(parts[7], &value)) {
+    if (!ParseChild(parts[7], &node.right)) {
       return InvalidArgumentError("bad right child");
-    }
-    node.right = static_cast<int>(value);
-    if (!node.is_leaf &&
-        (node.left < 0 || node.left >= *node_count || node.right < 0 ||
-         node.right >= *node_count)) {
-      return InvalidArgumentError("child index out of range");
     }
     if (!util::ParseInt(parts[8], &value) || value < 0) {
       return InvalidArgumentError("bad count");
@@ -635,6 +629,8 @@ util::Result<RegressionTree> RegressionTree::Deserialize(
     }
     tree.nodes_.push_back(std::move(node));
   }
+  ROADMINE_RETURN_IF_ERROR(CheckTreeLinks(
+      tree.nodes_, [](const Node& node) { return node.is_leaf; }));
   return tree;
 }
 

@@ -37,8 +37,10 @@ struct RegressionTreeParams {
   // statistics are order-sensitive double sums, so the indexed path is
   // additionally gated on the fit rows being strictly ascending (the only
   // case where it provably matches the legacy accumulation order); other
-  // row sets silently use the legacy per-node-sort path. Trees are
-  // bit-identical either way.
+  // row sets silently use the legacy per-node-sort path. Those include
+  // the shuffled train rows of data::StratifiedTrainValidationSplit, so
+  // every core::Study regression-tree and M5 fit takes the legacy path.
+  // Trees are bit-identical either way.
   bool use_feature_index = true;
   // Optional shared pre-built index; see DecisionTreeParams::feature_index.
   const FeatureIndex* feature_index = nullptr;

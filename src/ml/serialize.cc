@@ -1,6 +1,7 @@
 #include "ml/serialize.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -53,8 +54,7 @@ util::Result<std::vector<FeatureRef>> ParseFeatureSection(
   if (*count <= 0 && !allow_empty) {
     return InvalidArgumentError("empty feature list");
   }
-  std::vector<FeatureRef> features;
-  features.reserve(static_cast<size_t>(*count));
+  std::vector<FeatureRef> features;  // Not reserved: the count is unchecked.
   for (int64_t i = 0; i < *count; ++i) {
     const std::string* line = cursor.Next();
     if (line == nullptr) return InvalidArgumentError("truncated feature list");
@@ -76,6 +76,17 @@ util::Result<std::vector<FeatureRef>> ParseFeatureSection(
     features.push_back(std::move(ref));
   }
   return features;
+}
+
+bool ParseChild(const std::string& text, int* child) {
+  int64_t value = 0;
+  if (!util::ParseInt(text, &value) ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *child = static_cast<int>(value);
+  return true;
 }
 
 util::Result<int64_t> ParseCountLine(LineCursor& cursor,

@@ -13,6 +13,7 @@
 #ifndef ROADMINE_ML_SERIALIZE_H_
 #define ROADMINE_ML_SERIALIZE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,39 @@ void AppendFeatureSection(const std::vector<FeatureRef>& features,
 // Parses "<keyword> <count>" with a nonnegative count.
 [[nodiscard]] util::Result<int64_t> ParseCountLine(LineCursor& cursor,
                                      const std::string& keyword);
+
+// Parses a tree node's child field into the int the trees store; false
+// when it is not an integer or does not fit an int.
+[[nodiscard]] bool ParseChild(const std::string& text, int* child);
+
+// Checks the child links of a decoded tree: both children of every
+// internal node (`is_leaf(node)` false) lie after it and inside the tree,
+// and no node is a child twice. Every Fit produces this shape — children
+// are appended after their parent — and it rules out cycles and shared
+// subtrees, so a descent from node 0 always ends at a leaf.
+template <typename Node, typename IsLeaf>
+[[nodiscard]] util::Status CheckTreeLinks(const std::vector<Node>& nodes,
+                                          IsLeaf is_leaf) {
+  std::vector<uint8_t> is_child(nodes.size(), 0);
+  for (size_t id = 0; id < nodes.size(); ++id) {
+    if (is_leaf(nodes[id])) continue;
+    for (const int64_t child : {int64_t{nodes[id].left},
+                                int64_t{nodes[id].right}}) {
+      if (child <= static_cast<int64_t>(id) ||
+          child >= static_cast<int64_t>(nodes.size())) {
+        return util::InvalidArgumentError(
+            "node " + std::to_string(id) + " has child " +
+            std::to_string(child) + ": children must follow their parent");
+      }
+      if (is_child[static_cast<size_t>(child)]++ != 0) {
+        return util::InvalidArgumentError(
+            "node " + std::to_string(child) +
+            " is a child twice: the nodes do not form a tree");
+      }
+    }
+  }
+  return util::Status::Ok();
+}
 
 }  // namespace roadmine::ml
 

@@ -1,13 +1,12 @@
 #include "serve/scoring_service.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "exec/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#include <numeric>
-#include <queue>
+#include "util/top_k.h"
 
 namespace roadmine::serve {
 
@@ -15,16 +14,6 @@ using util::Result;
 using util::Status;
 
 namespace {
-
-// Ranking order: `a` beats `b` on higher score, ties broken by lower
-// global row index. As a priority_queue comparator this parks the WORST
-// survivor at top(), where eviction wants it.
-struct Beats {
-  bool operator()(const PagedScore& a, const PagedScore& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    return a.row < b.row;
-  }
-};
 
 // Scores `rows` of `dataset`, sharding over `executor`. Chunk boundaries
 // depend only on the row count, and each chunk's scores land in its own
@@ -75,17 +64,9 @@ Status ScoringService::Register(const std::string& name,
 
 Result<std::shared_ptr<const ml::Predictor>> ScoringService::Get(
     const std::string& name, const std::string& version) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Scan back-to-front so an empty version picks the latest registration.
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (it->name != name) continue;
-    if (version.empty() || it->version == version) return it->model;
-  }
-  if (version.empty()) {
-    return util::NotFoundError("no model named '" + name + "'");
-  }
-  return util::NotFoundError("no model '" + name + "' version '" + version +
-                             "'");
+  auto entry = Lookup(name, version);
+  if (!entry.ok()) return entry.status();
+  return entry->model;
 }
 
 std::vector<ModelInfo> ScoringService::List() const {
@@ -154,11 +135,10 @@ Result<std::vector<PagedScore>> ScoringService::ScorePaged(
   if (!entry.ok()) return entry.status();
 
   ROADMINE_RETURN_IF_ERROR(source.Reset());
-  // Worst survivor on top: a page row enters iff the heap is short or it
-  // beats that survivor. Pages arrive in global row order, so the heap's
-  // contents after every page depend only on the stream — deterministic
-  // at any thread count (threads only shard the per-page PredictBatch).
-  std::priority_queue<PagedScore, std::vector<PagedScore>, Beats> best;
+  // Pages arrive in global row order and the top-k order is total, so the
+  // survivors depend only on the stream — deterministic at any thread
+  // count (threads only shard the per-page PredictBatch).
+  util::TopK<> best(top_k);
   std::vector<size_t> page_rows;
   std::vector<double> scores;
   uint64_t total_rows = 0;
@@ -171,22 +151,14 @@ Result<std::vector<PagedScore>> ScoringService::ScorePaged(
     std::iota(page_rows.begin(), page_rows.end(), size_t{0});
     ROADMINE_RETURN_IF_ERROR(ShardedScore(options_.executor, *entry->model,
                                           **page, page_rows, &scores));
-    for (size_t r = 0; r < n; ++r) {
-      const PagedScore candidate{total_rows + r, scores[r]};
-      if (best.size() < top_k) {
-        best.push(candidate);
-      } else if (Beats()(candidate, best.top())) {
-        best.pop();
-        best.push(candidate);
-      }
-    }
+    for (size_t r = 0; r < n; ++r) best.Offer({scores[r], total_rows + r});
     total_rows += n;
   }
 
-  std::vector<PagedScore> ranked(best.size());
-  for (size_t i = ranked.size(); i-- > 0;) {
-    ranked[i] = best.top();
-    best.pop();
+  std::vector<PagedScore> ranked;
+  ranked.reserve(best.entries().size());
+  for (const auto& survivor : std::move(best).BestFirst()) {
+    ranked.push_back({survivor.row, survivor.key});
   }
   metrics.GetCounter("serve.rows_scored").Increment(total_rows);
   const size_t new_breaches =

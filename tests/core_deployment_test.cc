@@ -20,20 +20,13 @@ data::Dataset SegmentInventory(size_t n = 4000, uint64_t seed = 17) {
   return std::move(*ds);
 }
 
-// A scorer that reads the observed count — a perfect oracle for testing
-// the ranking plumbing.
-SegmentScorer OracleScorer() {
-  return [](const data::Dataset& ds, size_t row) {
-    auto count = ds.ColumnByName(roadgen::kSegmentCrashCountColumn);
-    const double c = (*count)->NumericAt(row);
-    return c / (c + 4.0);  // Monotone in the count, in [0, 1).
-  };
-}
-
-// The same oracle expressed as an ml::Predictor, exercising the primary
-// batch-first overload.
+// A model that reads the observed count — a perfect oracle for testing
+// the ranking plumbing. It scores c / (c + offset): monotone in the count
+// and in [0, 1).
 class OraclePredictor : public ml::Predictor {
  public:
+  explicit OraclePredictor(double offset = 4.0) : offset_(offset) {}
+
   util::Result<std::vector<double>> PredictBatch(
       const data::Dataset& ds,
       const std::vector<size_t>& rows) const override {
@@ -43,16 +36,19 @@ class OraclePredictor : public ml::Predictor {
     out.reserve(rows.size());
     for (size_t row : rows) {
       const double c = (*count)->NumericAt(row);
-      out.push_back(c / (c + 4.0));
+      out.push_back(c / (c + offset_));
     }
     return out;
   }
   const char* name() const override { return "oracle"; }
+
+ private:
+  double offset_;
 };
 
 TEST(DeploymentTest, RanksByProbabilityDescending) {
   data::Dataset ds = SegmentInventory();
-  auto program = BuildWorksProgram(ds, OracleScorer());
+  auto program = BuildWorksProgram(ds, OraclePredictor());
   ASSERT_TRUE(program.ok());
   ASSERT_GT(program->segments.size(), 1u);
   for (size_t i = 1; i < program->segments.size(); ++i) {
@@ -61,26 +57,9 @@ TEST(DeploymentTest, RanksByProbabilityDescending) {
   }
 }
 
-TEST(DeploymentTest, PredictorOverloadMatchesScorerOverload) {
-  data::Dataset ds = SegmentInventory(2000, 7);
-  auto via_scorer = BuildWorksProgram(ds, OracleScorer());
-  auto via_predictor = BuildWorksProgram(ds, OraclePredictor());
-  ASSERT_TRUE(via_scorer.ok());
-  ASSERT_TRUE(via_predictor.ok());
-  ASSERT_EQ(via_scorer->segments.size(), via_predictor->segments.size());
-  for (size_t i = 0; i < via_scorer->segments.size(); ++i) {
-    EXPECT_EQ(via_scorer->segments[i].segment_id,
-              via_predictor->segments[i].segment_id);
-    EXPECT_EQ(via_scorer->segments[i].crash_prone_probability,
-              via_predictor->segments[i].crash_prone_probability);
-  }
-  EXPECT_EQ(via_scorer->top_decile_agreement,
-            via_predictor->top_decile_agreement);
-}
-
 TEST(DeploymentTest, OracleGetsPerfectTopDecileAgreement) {
   data::Dataset ds = SegmentInventory();
-  auto program = BuildWorksProgram(ds, OracleScorer());
+  auto program = BuildWorksProgram(ds, OraclePredictor());
   ASSERT_TRUE(program.ok());
   EXPECT_NEAR(program->top_decile_agreement, 1.0, 1e-12);
 }
@@ -90,7 +69,7 @@ TEST(DeploymentTest, RespectsMaxSegmentsAndFloor) {
   DeploymentConfig config;
   config.max_segments = 7;
   config.min_probability = 0.6;
-  auto program = BuildWorksProgram(ds, OracleScorer(), config);
+  auto program = BuildWorksProgram(ds, OraclePredictor(), config);
   ASSERT_TRUE(program.ok());
   EXPECT_LE(program->segments.size(), 7u);
   for (const RankedSegment& s : program->segments) {
@@ -100,7 +79,7 @@ TEST(DeploymentTest, RespectsMaxSegmentsAndFloor) {
 
 TEST(DeploymentTest, EverySegmentGetsARecommendation) {
   data::Dataset ds = SegmentInventory();
-  auto program = BuildWorksProgram(ds, OracleScorer());
+  auto program = BuildWorksProgram(ds, OraclePredictor());
   ASSERT_TRUE(program.ok());
   for (const RankedSegment& s : program->segments) {
     EXPECT_FALSE(s.recommended_treatments.empty());
@@ -125,7 +104,7 @@ TEST(DeploymentTest, TreatmentTriggersFireOnDeficits) {
   ASSERT_TRUE(
       ds.AddColumn(data::Column::Numeric("roughness_iri", {5.5, 2.0})).ok());
 
-  auto program = BuildWorksProgram(ds, OracleScorer());
+  auto program = BuildWorksProgram(ds, OraclePredictor());
   ASSERT_TRUE(program.ok());
   // Both segments are listed (no default probability floor); the deficient
   // one ranks first.
@@ -140,11 +119,7 @@ TEST(DeploymentTest, RareEventModelStillProducesRankedProgram) {
   // The program must still rank them rather than come back empty (the old
   // 0.5 default floor silently dropped everything here).
   data::Dataset ds = SegmentInventory(500, 11);
-  SegmentScorer rare = [](const data::Dataset& d, size_t row) {
-    auto count = d.ColumnByName(roadgen::kSegmentCrashCountColumn);
-    const double c = (*count)->NumericAt(row);
-    return c / (c + 100.0);  // Monotone in the count but always << 0.5.
-  };
+  const OraclePredictor rare(100.0);  // Monotone in the count, always << 0.5.
   auto program = BuildWorksProgram(ds, rare);
   ASSERT_TRUE(program.ok());
   ASSERT_FALSE(program->segments.empty());
@@ -165,15 +140,19 @@ TEST(DeploymentTest, RareEventModelStillProducesRankedProgram) {
 }
 
 TEST(DeploymentTest, Errors) {
-  data::Dataset ds = SegmentInventory(2000, 3);
-  EXPECT_FALSE(BuildWorksProgram(ds, SegmentScorer{}).ok());
-  data::Dataset empty;
-  EXPECT_FALSE(BuildWorksProgram(empty, OracleScorer()).ok());
+  data::Dataset empty;  // No columns at all.
+  EXPECT_FALSE(BuildWorksProgram(empty, OraclePredictor()).ok());
+  data::Dataset no_rows;  // The right columns, but no segments.
+  ASSERT_TRUE(no_rows.AddColumn(data::Column::Numeric("segment_id", {})).ok());
+  ASSERT_TRUE(
+      no_rows.AddColumn(data::Column::Numeric("segment_crash_count", {}))
+          .ok());
+  EXPECT_FALSE(BuildWorksProgram(no_rows, OraclePredictor()).ok());
 }
 
 TEST(DeploymentTest, RenderShowsRanksAndAgreement) {
   data::Dataset ds = SegmentInventory(2000, 5);
-  auto program = BuildWorksProgram(ds, OracleScorer());
+  auto program = BuildWorksProgram(ds, OraclePredictor());
   ASSERT_TRUE(program.ok());
   const std::string out = RenderWorksProgram(*program, 5);
   EXPECT_NE(out.find("P(crash-prone)"), std::string::npos);

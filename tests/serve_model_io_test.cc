@@ -12,6 +12,7 @@
 #include "core/thresholds.h"
 #include "ml/bagging.h"
 #include "ml/decision_tree.h"
+#include "ml/gradient_boosting.h"
 #include "ml/logistic_regression.h"
 #include "ml/m5_tree.h"
 #include "ml/naive_bayes.h"
@@ -253,6 +254,170 @@ TEST(ModelIoTest, FlatModelRejectsNodesThatDoNotFormTrees) {
   parts[5] = "0";
   text.replace(line, length, util::Join(parts, "\t"));
   EXPECT_FALSE(FlatModel::Deserialize(text, road).ok());
+}
+
+// One fit of every model format on one small road dataset, serialized.
+struct FittedTexts {
+  data::Dataset ds;
+  std::string dt, bagged, rt, m5, gbt, nb, lr, nn, flat;
+};
+
+FittedTexts FitEveryFormat() {
+  FittedTexts out;
+  out.ds = RoadDataset(800, 3);
+  const data::Dataset& ds = out.ds;
+  const std::string target = core::ThresholdTargetName(4);
+  const std::string count = roadgen::kSegmentCrashCountColumn;
+  const std::vector<std::string>& features = roadgen::RoadAttributeColumns();
+  const std::vector<size_t> rows = ds.AllRowIndices();
+
+  ml::DecisionTreeClassifier dt{ml::DecisionTreeParams{.min_samples_leaf = 30}};
+  EXPECT_TRUE(dt.Fit(ds, target, features, rows).ok());
+  ml::BaggedTreesParams bag_params;
+  bag_params.num_trees = 2;
+  bag_params.tree.min_samples_leaf = 40;
+  ml::BaggedTreesClassifier bagged(bag_params);
+  EXPECT_TRUE(bagged.Fit(ds, target, features, rows).ok());
+  ml::RegressionTree rt{ml::RegressionTreeParams{.min_samples_leaf = 25}};
+  EXPECT_TRUE(rt.Fit(ds, count, features, rows).ok());
+  ml::M5Tree m5;
+  EXPECT_TRUE(m5.Fit(ds, count, features, rows).ok());
+  ml::GradientBoostedTreesParams gbt_params;
+  gbt_params.num_trees = 3;
+  gbt_params.max_depth = 3;
+  ml::GradientBoostedTrees gbt(gbt_params);
+  EXPECT_TRUE(gbt.Fit(ds, target, features, rows).ok());
+  ml::NaiveBayesClassifier nb;
+  EXPECT_TRUE(nb.Fit(ds, target, features, rows).ok());
+  ml::LogisticRegressionParams lr_params;
+  lr_params.max_iterations = 20;
+  ml::LogisticRegression lr(lr_params);
+  EXPECT_TRUE(lr.Fit(ds, target, features, rows).ok());
+  ml::NeuralNetParams nn_params;
+  nn_params.hidden_layers = {6};
+  nn_params.epochs = 2;
+  ml::NeuralNetClassifier nn(nn_params);
+  EXPECT_TRUE(nn.Fit(ds, target, features, rows).ok());
+  auto flat = CompileModel(gbt);
+  EXPECT_TRUE(flat.ok());
+
+  out.dt = dt.Serialize();
+  out.bagged = bagged.Serialize();
+  out.rt = rt.Serialize();
+  out.m5 = m5.Serialize();
+  out.gbt = gbt.Serialize();
+  out.nb = nb.Serialize();
+  out.lr = lr.Serialize();
+  out.nn = nn.Serialize();
+  out.flat = flat->Serialize();
+  return out;
+}
+
+// `text` with node line `id` of its first tree made internal, with
+// children `left` and `right`; `left_field` is the format's left-child
+// field (the right child's follows it).
+std::string Rewire(std::string text, size_t id, size_t left_field,
+                   const std::string& left, const std::string& right) {
+  size_t begin = text.find("\nnode\t") + 1;
+  for (size_t i = 0; i < id; ++i) begin = text.find("\nnode\t", begin) + 1;
+  const size_t length = text.find('\n', begin) - begin;
+  std::vector<std::string> parts =
+      util::Split(text.substr(begin, length), '\t');
+  parts[1] = "0";
+  parts[left_field] = left;
+  parts[left_field + 1] = right;
+  return text.replace(begin, length, util::Join(parts, "\t"));
+}
+
+TEST(ModelIoTest, TreeDecodersRejectNodesThatDoNotFormTrees) {
+  // A cycle would make every descent through it loop forever; a node
+  // with two parents, or a child index that only fits after wrapping to
+  // an int, is not the tree the text claims either.
+  const FittedTexts fx = FitEveryFormat();
+  struct Format {
+    const char* name;
+    const std::string& text;
+    size_t left_field;
+  };
+  for (const Format& format : {Format{"decision_tree", fx.dt, 6},
+                               Format{"bagged_trees", fx.bagged, 6},
+                               Format{"regression_tree", fx.rt, 6},
+                               Format{"m5_tree", fx.m5, 6},
+                               Format{"gbt", fx.gbt, 5}}) {
+    SCOPED_TRACE(format.name);
+    ASSERT_TRUE(LoadPredictor(format.text, fx.ds).ok());
+    const size_t f = format.left_field;
+    const std::string root_to_itself = Rewire(format.text, 0, f, "0", "0");
+    const std::string back_edge =
+        Rewire(Rewire(format.text, 0, f, "1", "2"), 1, f, "0", "3");
+    const std::string same_child_twice =
+        Rewire(format.text, 0, f, "1", "1");
+    const std::string two_parents =
+        Rewire(Rewire(format.text, 0, f, "1", "2"), 1, f, "2", "3");
+    const std::string wide_child =  // 2^32 + 1 wraps to 1 as an int.
+        Rewire(format.text, 0, f, "4294967297", "2");
+    for (const std::string& bad : {root_to_itself, back_edge,
+                                   same_child_twice, two_parents,
+                                   wide_child}) {
+      auto loaded = LoadPredictor(bad, fx.ds);
+      EXPECT_FALSE(loaded.ok()) << bad.substr(0, 600);
+      EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+// `text` with its first line that starts with `prefix` replaced by `line`.
+std::string ReplaceLine(std::string text, const std::string& prefix,
+                        const std::string& line) {
+  const size_t begin = text.find("\n" + prefix) + 1;
+  EXPECT_NE(begin, 0u) << "no line starts with " << prefix;
+  return text.replace(begin, text.find('\n', begin) - begin, line);
+}
+
+TEST(ModelIoTest, DecodersRejectCountsTheTextDoesNotHold) {
+  // A decoder that sized storage from one of these counts alone would
+  // abort with std::bad_alloc instead of returning an error.
+  const FittedTexts fx = FitEveryFormat();
+  const std::string huge = "4000000000000";
+  struct Case {
+    const char* name;
+    const std::string& text;
+    std::string prefix;
+    std::string line;
+  };
+  const Case cases[] = {
+      {"decision_tree features", fx.dt, "features ", "features " + huge},
+      {"regression_tree features", fx.rt, "features ", "features " + huge},
+      {"m5_tree features", fx.m5, "features ", "features " + huge},
+      {"gbt features", fx.gbt, "features ", "features " + huge},
+      {"naive_bayes features", fx.nb, "features ", "features " + huge},
+      {"flat features", fx.flat, "features ", "features " + huge},
+      {"gbt tree", fx.gbt, "tree ", "tree " + huge},
+      {"logistic_regression weights", fx.lr, "weights ", "weights " + huge},
+      {"neural_net layers", fx.nn, "layers ", "layers " + huge},
+      {"neural_net layer", fx.nn, "layer\t", "layer\t200000000\t200000000"},
+      {"m5_tree leaf_models", fx.m5, "leaf_models ", "leaf_models " + huge},
+      {"bagged_trees trees", fx.bagged, "trees ", "trees " + huge},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(LoadPredictor(c.text, fx.ds).ok());
+    auto loaded = LoadPredictor(ReplaceLine(c.text, c.prefix, c.line), fx.ds);
+    EXPECT_FALSE(loaded.ok());
+  }
+}
+
+TEST(ModelIoTest, NeuralNetLayersMustChain) {
+  // The output layer reads 7 inputs from a 6-wide hidden layer: it has a
+  // well-formed weight row, but the forward pass would read past the
+  // hidden activations.
+  const FittedTexts fx = FitEveryFormat();
+  std::string text = ReplaceLine(fx.nn, "layer\t6\t1", "layer\t7\t1");
+  const size_t wrow = text.find("\nwrow", text.find("\nlayer\t7\t1") + 1);
+  text.insert(text.find('\n', wrow + 1), "\t0");
+  auto loaded = LoadPredictor(text, fx.ds);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(ModelIoTest, FlatModelRejectsMasksThatDisagreeWithTheFeatureType) {

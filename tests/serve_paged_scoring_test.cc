@@ -1,10 +1,13 @@
 // Streaming scoring: ScorePaged over a chunked RowSource must equal
 // scoring the materialized table and taking its top k, at any thread
-// count; BuildWorksProgramPaged must reproduce BuildWorksProgram.
+// count; the works-program engine, through both of its entry points,
+// must equal a full-sort oracle for any chunking.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -145,10 +148,66 @@ TEST(ScorePagedTest, RejectsZeroTopKAndUnknownModels) {
   EXPECT_FALSE(service.ScorePaged("crash", "v9", source, 5).ok());
 }
 
-// --- Paged works program -------------------------------------------------
+// --- Works program -------------------------------------------------------
 
+// The works program by definition, independent of the engine: score every
+// row in RAM, fully sort the rows by (probability desc, row asc) and by
+// (observed count desc, row asc), take the agreement from the two top
+// deciles, and list the first max_segments rows at or above the floor.
+// It assigns no treatments; those are compared between the engine's two
+// entry points instead.
+core::WorksProgram OracleProgram(const data::Dataset& table,
+                                 const ml::Predictor& model,
+                                 const core::DeploymentConfig& config) {
+  const size_t n = table.num_rows();
+  auto scores = model.PredictBatch(table, table.AllRowIndices());
+  auto ids = table.ColumnByName(roadgen::kSegmentIdColumn);
+  auto counts = table.ColumnByName(roadgen::kSegmentCrashCountColumn);
+  EXPECT_TRUE(scores.ok() && ids.ok() && counts.ok());
+  auto count_of = [&](size_t row) { return (*counts)->NumericAt(row); };
+  auto sorted_by = [n](const auto& key) {
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (key(a) != key(b)) return key(a) > key(b);
+      return a < b;
+    });
+    return order;
+  };
+  const std::vector<size_t> by_probability =
+      sorted_by([&](size_t row) { return (*scores)[row]; });
+  const std::vector<size_t> by_count = sorted_by(count_of);
+
+  const size_t decile = std::max<size_t>(1, n / 10);
+  const std::set<size_t> count_decile(by_count.begin(),
+                                      by_count.begin() + decile);
+  size_t overlap = 0;
+  for (size_t i = 0; i < decile; ++i) {
+    overlap += count_decile.count(by_probability[i]);
+  }
+  core::WorksProgram program;
+  program.top_decile_agreement =
+      static_cast<double>(overlap) / static_cast<double>(decile);
+  for (const size_t row : by_probability) {
+    if ((*scores)[row] < config.min_probability) break;
+    if (config.max_segments != 0 &&
+        program.segments.size() == config.max_segments) {
+      break;
+    }
+    core::RankedSegment line;
+    line.segment_id = static_cast<int64_t>((*ids)->NumericAt(row));
+    line.crash_prone_probability = (*scores)[row];
+    line.observed_crash_count = count_of(row);
+    program.segments.push_back(std::move(line));
+  }
+  return program;
+}
+
+// Compares two programs line by line; treatments only when asked, since
+// the oracle assigns none.
 void ExpectSameProgram(const core::WorksProgram& got,
-                       const core::WorksProgram& want) {
+                       const core::WorksProgram& want,
+                       bool compare_treatments) {
   EXPECT_EQ(got.top_decile_agreement, want.top_decile_agreement);
   ASSERT_EQ(got.segments.size(), want.segments.size());
   for (size_t i = 0; i < got.segments.size(); ++i) {
@@ -157,8 +216,10 @@ void ExpectSameProgram(const core::WorksProgram& got,
               want.segments[i].crash_prone_probability);
     EXPECT_EQ(got.segments[i].observed_crash_count,
               want.segments[i].observed_crash_count);
-    EXPECT_EQ(got.segments[i].recommended_treatments,
-              want.segments[i].recommended_treatments);
+    if (compare_treatments) {
+      EXPECT_EQ(got.segments[i].recommended_treatments,
+                want.segments[i].recommended_treatments);
+    }
   }
 }
 
@@ -175,31 +236,44 @@ class UnsizedSource : public data::RowSource {
   data::RowSource& inner_;
 };
 
+// Both entry points against the oracle, over in-RAM chunkings and a
+// source without a row-count hint, and against each other on treatments.
+void ExpectOracleProgram(const Fixture& fx,
+                         const core::DeploymentConfig& config) {
+  const core::WorksProgram want = OracleProgram(fx.table, *fx.model, config);
+  auto in_ram = core::BuildWorksProgram(fx.table, *fx.model, config);
+  ASSERT_TRUE(in_ram.ok()) << in_ram.status().ToString();
+  ExpectSameProgram(*in_ram, want, /*compare_treatments=*/false);
+
+  for (const size_t chunk_rows : {size_t{17}, size_t{128}}) {
+    data::DatasetSource source(fx.table, fx.table.AllRowIndices(),
+                               chunk_rows);
+    auto got = core::BuildWorksProgramPaged(source, *fx.model, config);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameProgram(*got, want, /*compare_treatments=*/false);
+    ExpectSameProgram(*got, *in_ram, /*compare_treatments=*/true);
+
+    UnsizedSource unsized(source);
+    ASSERT_FALSE(unsized.TotalRowsHint().has_value());
+    auto counted = core::BuildWorksProgramPaged(unsized, *fx.model, config);
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    ExpectSameProgram(*counted, want, /*compare_treatments=*/false);
+    ExpectSameProgram(*counted, *in_ram, /*compare_treatments=*/true);
+  }
+}
+
 TEST(BuildWorksProgramPagedTest, ReproducesTheInRamProgram) {
   // The fixture's decile is 40 rows: caps below, at, just past and far
   // past it, where the program's lines outnumber the decile.
   const Fixture fx = TrainedFixture();
   for (const size_t max_segments :
        {size_t{1}, size_t{30}, size_t{40}, size_t{41}, size_t{400}}) {
+    SCOPED_TRACE(max_segments);
     core::DeploymentConfig config;
     config.max_segments = max_segments;
-    auto want = core::BuildWorksProgram(fx.table, *fx.model, config);
-    ASSERT_TRUE(want.ok());
-    ASSERT_EQ(want->segments.size(), std::min<size_t>(max_segments, 400));
-
-    for (const size_t chunk_rows : {size_t{17}, size_t{128}}) {
-      data::DatasetSource source(fx.table, fx.table.AllRowIndices(),
-                                 chunk_rows);
-      auto got = core::BuildWorksProgramPaged(source, *fx.model, config);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSameProgram(*got, *want);
-
-      UnsizedSource unsized(source);
-      ASSERT_FALSE(unsized.TotalRowsHint().has_value());
-      auto counted = core::BuildWorksProgramPaged(unsized, *fx.model, config);
-      ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-      ExpectSameProgram(*counted, *want);
-    }
+    ASSERT_EQ(OracleProgram(fx.table, *fx.model, config).segments.size(),
+              std::min<size_t>(max_segments, 400));
+    ExpectOracleProgram(fx, config);
   }
 }
 
@@ -208,12 +282,11 @@ TEST(BuildWorksProgramPagedTest, HonorsMaxSegmentsZeroAndFloors) {
   core::DeploymentConfig config;
   config.max_segments = 0;  // List everything — inherently O(rows).
   config.min_probability = 0.05;
-  auto want = core::BuildWorksProgram(fx.table, *fx.model, config);
-  ASSERT_TRUE(want.ok());
-  data::DatasetSource source(fx.table, fx.table.AllRowIndices(), 64);
-  auto got = core::BuildWorksProgramPaged(source, *fx.model, config);
-  ASSERT_TRUE(got.ok());
-  ExpectSameProgram(*got, *want);
+  const size_t listed =
+      OracleProgram(fx.table, *fx.model, config).segments.size();
+  ASSERT_GT(listed, 0u);
+  ASSERT_LT(listed, fx.table.num_rows());  // The floor drops some rows.
+  ExpectOracleProgram(fx, config);
 }
 
 }  // namespace
