@@ -4,7 +4,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <utility>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "util/checksum.h"
 
 namespace roadmine::data {
 
@@ -22,23 +27,50 @@ namespace {
 // pages.meta:  "RMPD" u32 version  u64 page_rows  u64 num_pages
 //              u64 total_rows  u32 num_columns
 //              per column: u8 type  str name  u32 k  k * str category
-//              u64 fnv1a(everything before)
+//              u64 checksum(everything before)
 // page file:   "RMPG" u32 version  u64 page_index  u64 num_rows
-//              u32 num_columns
+//              u32 num_columns                        (28-byte header)
 //              per column: u8 type  payload (num_rows doubles | int32s)
-//              u64 fnv1a(everything before)
+//              u64 checksum(everything before)
+// The checksum is util::Checksum (util/checksum.h). A page file's size
+// follows from the meta alone (PageFileBytes), so the reader checks it
+// before allocating and then reads each payload straight into its column.
 constexpr char kMetaMagic[4] = {'R', 'M', 'P', 'D'};
 constexpr char kPageMagic[4] = {'R', 'M', 'P', 'G'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr char kMetaFileName[] = "pages.meta";
+constexpr uint64_t kPageHeaderBytes = 28;
+constexpr uint64_t kDigestBytes = 8;
+// Large payloads are read and hashed in pieces this size, so the
+// checksum reads each piece from cache right after it lands.
+constexpr uint64_t kReadPieceBytes = uint64_t{256} << 10;
 
-uint64_t Fnv1a(const char* data, size_t size) {
-  uint64_t hash = 14695981039346656037ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ULL;
+uint8_t TypeTag(ColumnType type) { return type == ColumnType::kNumeric ? 0 : 1; }
+
+uint64_t ValueBytes(ColumnType type) {
+  return type == ColumnType::kNumeric ? sizeof(double) : sizeof(int32_t);
+}
+
+// Exact size of a page file holding `rows` rows of `schema`: the header,
+// per column a type tag plus the values, and the digest. nullopt when it
+// does not fit in 64 bits, which only a forged meta can claim.
+std::optional<uint64_t> PageFileBytes(const TableSchema& schema,
+                                      uint64_t rows) {
+  uint64_t total = kPageHeaderBytes + kDigestBytes;
+  for (const ColumnSpec& spec : schema.columns) {
+    const uint64_t room = std::numeric_limits<uint64_t>::max() - total;
+    if (room == 0 || rows > (room - 1) / ValueBytes(spec.type)) {
+      return std::nullopt;
+    }
+    total += 1 + rows * ValueBytes(spec.type);
   }
-  return hash;
+  return total;
+}
+
+uint64_t DigestOf(const std::string& bytes, size_t size) {
+  util::Checksum checksum;
+  checksum.Update(bytes.data(), size);
+  return checksum.Digest();
 }
 
 void AppendRaw(std::string& out, const void* data, size_t size) {
@@ -98,32 +130,95 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   return Status::Ok();
 }
 
-Result<std::string> LoadFile(const std::string& path) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
+// Opens `path` for reading once it is known to be a regular file, and
+// sets `size` to its length. A directory or device in a file's place has
+// no size to trust: sizing a buffer from one is a std::bad_alloc.
+Result<std::ifstream> OpenRegularFile(const std::string& path,
+                                      uint64_t* size) {
+  std::error_code ec;
+  const std::filesystem::file_status status = std::filesystem::status(path, ec);
+  if (ec) {
+    return util::NotFoundError("cannot open '" + path + "': " + ec.message());
+  }
+  if (!std::filesystem::is_regular_file(status)) {
+    return DataLossError("'" + path + "' is not a regular file");
+  }
+  *size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    return DataLossError("cannot size '" + path + "': " + ec.message());
+  }
+  std::ifstream file(path, std::ios::binary);
   if (!file) return util::NotFoundError("cannot open '" + path + "'");
-  const std::streamsize size = file.tellg();
-  file.seekg(0);
+  return file;
+}
+
+Result<std::string> LoadFile(const std::string& path) {
+  uint64_t size = 0;
+  auto file = OpenRegularFile(path, &size);
+  if (!file.ok()) return file.status();
   std::string bytes(static_cast<size_t>(size), '\0');
-  if (size > 0) file.read(bytes.data(), size);
-  if (!file.good()) return DataLossError("read failed for '" + path + "'");
+  if (!file->read(bytes.data(), static_cast<std::streamsize>(size))) {
+    return DataLossError("read failed for '" + path + "'");
+  }
   return bytes;
 }
 
-// Splits off and verifies the trailing checksum; returns the payload
-// size (bytes covered by the checksum).
-Result<size_t> VerifyChecksum(const std::string& bytes,
-                              const std::string& path) {
-  if (bytes.size() < 8) {
+// Verifies the trailing checksum of a loaded file and drops it, leaving
+// the bytes it covers.
+Status StripChecksum(std::string& bytes, const std::string& path) {
+  if (bytes.size() < kDigestBytes) {
     return DataLossError("truncated page-format file '" + path + "'");
   }
-  const size_t payload = bytes.size() - 8;
+  const size_t payload = bytes.size() - kDigestBytes;
   uint64_t stored = 0;
-  std::memcpy(&stored, bytes.data() + payload, 8);
-  if (Fnv1a(bytes.data(), payload) != stored) {
+  std::memcpy(&stored, bytes.data() + payload, kDigestBytes);
+  if (DigestOf(bytes, payload) != stored) {
     return DataLossError("checksum mismatch in '" + path + "'");
   }
-  return payload;
+  bytes.resize(payload);
+  return Status::Ok();
 }
+
+// One pass over a page file whose size is already known to be right:
+// every byte lands in its final buffer and goes through the checksum
+// while it is still in cache. Remaining() counts the bytes left before
+// the trailing digest.
+class PageFileReader {
+ public:
+  PageFileReader(std::ifstream file, uint64_t size)
+      : file_(std::move(file)), remaining_(size - kDigestBytes) {}
+
+  uint64_t Remaining() const { return remaining_; }
+
+  // Reads `size` bytes into `out`; false if fewer are left.
+  bool Read(void* out, uint64_t size) {
+    if (size > remaining_) return false;
+    remaining_ -= size;
+    char* dst = static_cast<char*>(out);
+    while (size > 0) {
+      const uint64_t piece = std::min(size, kReadPieceBytes);
+      if (!file_.read(dst, static_cast<std::streamsize>(piece))) return false;
+      checksum_.Update(dst, piece);
+      dst += piece;
+      size -= piece;
+    }
+    return true;
+  }
+
+  // Reads the stored digest that ends the file and compares it with the
+  // checksum of every byte before it.
+  bool DigestMatches() {
+    uint64_t stored = 0;
+    return remaining_ == 0 &&
+           file_.read(reinterpret_cast<char*>(&stored), kDigestBytes) &&
+           stored == checksum_.Digest();
+  }
+
+ private:
+  std::ifstream file_;
+  uint64_t remaining_;
+  util::Checksum checksum_;
+};
 
 }  // namespace
 
@@ -155,25 +250,30 @@ Result<std::unique_ptr<PagedDatasetWriter>> PagedDatasetWriter::Create(
 }
 
 Status PagedDatasetWriter::FlushPage() {
+  ROADMINE_TRACE_SPAN("data.page.write");
   std::string bytes;
+  bytes.reserve(PageFileBytes(schema_, buffered_rows_).value_or(0));
   AppendRaw(bytes, kPageMagic, 4);
   AppendU32(bytes, kFormatVersion);
   AppendU64(bytes, pages_written_);
   AppendU64(bytes, buffered_rows_);
   AppendU32(bytes, static_cast<uint32_t>(schema_.num_columns()));
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    const bool is_numeric = schema_.columns[c].type == ColumnType::kNumeric;
-    AppendU8(bytes, is_numeric ? 0 : 1);
-    if (is_numeric) {
+    const ColumnType type = schema_.columns[c].type;
+    AppendU8(bytes, TypeTag(type));
+    if (type == ColumnType::kNumeric) {
       AppendRaw(bytes, numeric_[c].data(), numeric_[c].size() * sizeof(double));
     } else {
       AppendRaw(bytes, codes_[c].data(), codes_[c].size() * sizeof(int32_t));
     }
   }
-  AppendU64(bytes, Fnv1a(bytes.data(), bytes.size()));
+  AppendU64(bytes, DigestOf(bytes, bytes.size()));
   const std::string path =
       JoinPath(directory_, PageFileName(pages_written_));
   ROADMINE_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
+  obs::MetricsRegistry::Global()
+      .GetCounter("data.page.bytes_written")
+      .Increment(bytes.size());
   ++pages_written_;
   buffered_rows_ = 0;
   for (auto& v : numeric_) v.clear();
@@ -228,14 +328,14 @@ Status PagedDatasetWriter::Finish() {
   AppendU64(bytes, total_rows_);
   AppendU32(bytes, static_cast<uint32_t>(schema_.num_columns()));
   for (const ColumnSpec& spec : schema_.columns) {
-    AppendU8(bytes, spec.type == ColumnType::kNumeric ? 0 : 1);
+    AppendU8(bytes, TypeTag(spec.type));
     AppendString(bytes, spec.name);
     AppendU32(bytes, static_cast<uint32_t>(spec.categories.size()));
     for (const std::string& category : spec.categories) {
       AppendString(bytes, category);
     }
   }
-  AppendU64(bytes, Fnv1a(bytes.data(), bytes.size()));
+  AppendU64(bytes, DigestOf(bytes, bytes.size()));
   ROADMINE_RETURN_IF_ERROR(
       WriteFileAtomic(JoinPath(directory_, kMetaFileName), bytes));
   finished_ = true;
@@ -249,9 +349,9 @@ Result<PagedDataset> PagedDataset::Open(const std::string& directory) {
   const std::string meta_path = JoinPath(directory, kMetaFileName);
   auto bytes = LoadFile(meta_path);
   if (!bytes.ok()) return bytes.status();
-  auto payload = VerifyChecksum(*bytes, meta_path);
-  if (!payload.ok()) return payload.status();
 
+  // Magic and version come before the checksum, so a directory written
+  // in another format version says so instead of failing its checksum.
   ByteReader reader{*bytes};
   char magic[4];
   uint32_t version = 0;
@@ -266,6 +366,8 @@ Result<PagedDataset> PagedDataset::Open(const std::string& directory) {
                                 std::to_string(version) + " in '" +
                                 meta_path + "'");
   }
+  ROADMINE_RETURN_IF_ERROR(StripChecksum(*bytes, meta_path));
+
   PagedDataset dataset;
   dataset.directory_ = directory;
   uint64_t page_rows = 0, num_pages = 0, total_rows = 0;
@@ -288,6 +390,10 @@ Result<PagedDataset> PagedDataset::Open(const std::string& directory) {
         !reader.ReadU32(&num_categories)) {
       return DataLossError("truncated page-format file '" + meta_path + "'");
     }
+    if (type > 1) {
+      return DataLossError("unknown column type " + std::to_string(type) +
+                           " in '" + meta_path + "'");
+    }
     spec.type = type == 0 ? ColumnType::kNumeric : ColumnType::kCategorical;
     // Every category costs at least its 4-byte length: a count the file
     // cannot hold is corruption, not an allocation to attempt.
@@ -302,6 +408,9 @@ Result<PagedDataset> PagedDataset::Open(const std::string& directory) {
       }
     }
     dataset.schema_.columns.push_back(std::move(spec));
+  }
+  if (reader.Remaining() != 0) {
+    return DataLossError("trailing bytes in '" + meta_path + "'");
   }
   // Sanity: the page/row accounting must be consistent.
   const uint64_t expected_pages =
@@ -321,34 +430,45 @@ size_t PagedDataset::RowsInPage(size_t index) const {
 }
 
 Result<Dataset> PagedDataset::ReadPage(size_t index) const {
+  ROADMINE_TRACE_SPAN("data.page.read");
   if (index >= num_pages_) {
     return InvalidArgumentError("page index " + std::to_string(index) +
                                 " out of range (dataset has " +
                                 std::to_string(num_pages_) + " pages)");
   }
   const std::string path = JoinPath(directory_, PageFileName(index));
-  auto bytes = LoadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  auto payload = VerifyChecksum(*bytes, path);
-  if (!payload.ok()) return payload.status();
+  const uint64_t rows = RowsInPage(index);
+  const std::optional<uint64_t> expected_size = PageFileBytes(schema_, rows);
+  if (!expected_size.has_value()) {
+    return DataLossError("meta implies a page of more than 2^64 bytes for '" +
+                         path + "'");
+  }
+  uint64_t size = 0;
+  auto file = OpenRegularFile(path, &size);
+  if (!file.ok()) return file.status();
+  if (size != *expected_size) {
+    return DataLossError("page file '" + path + "' has " +
+                         std::to_string(size) + " bytes, meta implies " +
+                         std::to_string(*expected_size));
+  }
+  PageFileReader reader(std::move(*file), size);
 
-  ByteReader reader{*bytes};
   char magic[4];
   uint32_t version = 0;
   uint64_t page_index = 0, num_rows = 0;
   uint32_t num_columns = 0;
-  if (!reader.Read(magic, 4) || !reader.ReadU32(&version) ||
-      !reader.ReadU64(&page_index) || !reader.ReadU64(&num_rows) ||
-      !reader.ReadU32(&num_columns)) {
+  if (!reader.Read(magic, 4) || !reader.Read(&version, 4) ||
+      !reader.Read(&page_index, 8) || !reader.Read(&num_rows, 8) ||
+      !reader.Read(&num_columns, 4)) {
     return DataLossError("truncated page file '" + path + "'");
   }
   if (std::memcmp(magic, kPageMagic, 4) != 0) {
     return DataLossError("bad page magic in '" + path + "'");
   }
   if (version != kFormatVersion) {
-    return InvalidArgumentError("unsupported page format version " +
-                                std::to_string(version) + " in '" + path +
-                                "'");
+    return DataLossError("page file '" + path + "' has format version " +
+                         std::to_string(version) + ", its meta " +
+                         std::to_string(kFormatVersion));
   }
   if (page_index != index) {
     return DataLossError("page file '" + path + "' claims index " +
@@ -359,27 +479,23 @@ Result<Dataset> PagedDataset::ReadPage(size_t index) const {
                          std::to_string(num_columns) + " columns, meta has " +
                          std::to_string(schema_.num_columns()));
   }
-  if (num_rows != RowsInPage(index)) {
+  if (num_rows != rows) {
     return DataLossError("page file '" + path + "' has " +
                          std::to_string(num_rows) + " rows, meta expects " +
-                         std::to_string(RowsInPage(index)));
+                         std::to_string(rows));
   }
   Dataset page;
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
     const ColumnSpec& spec = schema_.columns[c];
     uint8_t type = 0;
-    if (!reader.ReadU8(&type)) {
+    if (!reader.Read(&type, 1)) {
       return DataLossError("truncated page file '" + path + "'");
     }
-    const uint8_t expected =
-        spec.type == ColumnType::kNumeric ? 0 : 1;
-    if (type != expected) {
+    if (type != TypeTag(spec.type)) {
       return DataLossError("page file '" + path + "' column '" + spec.name +
                            "' type disagrees with meta");
     }
-    const size_t value_bytes =
-        spec.type == ColumnType::kNumeric ? sizeof(double) : sizeof(int32_t);
-    if (num_rows > reader.Remaining() / value_bytes) {
+    if (num_rows > reader.Remaining() / ValueBytes(spec.type)) {
       return DataLossError("truncated page file '" + path + "'");
     }
     if (spec.type == ColumnType::kNumeric) {
@@ -403,9 +519,14 @@ Result<Dataset> PagedDataset::ReadPage(size_t index) const {
       ROADMINE_RETURN_IF_ERROR(page.AddColumn(std::move(*col)));
     }
   }
-  if (reader.pos != *payload) {
+  if (reader.Remaining() != 0) {
     return DataLossError("trailing bytes in page file '" + path + "'");
   }
+  if (!reader.DigestMatches()) {
+    return DataLossError("checksum mismatch in '" + path + "'");
+  }
+  obs::MetricsRegistry::Global().GetCounter("data.page.bytes_read").Increment(
+      size);
   return page;
 }
 
@@ -451,7 +572,11 @@ util::Result<const Dataset*> PagedDataset::PageStream::Next() {
     return static_cast<const Dataset*>(nullptr);
   }
   if (prefetch_ != nullptr && prefetch_->index == next_index_) {
-    util::Status status = prefetch_->latch.Wait();
+    util::Status status;
+    {
+      ROADMINE_TRACE_SPAN("data.page.prefetch_wait");
+      status = prefetch_->latch.Wait();
+    }
     if (!status.ok()) {
       prefetch_.reset();
       return status;

@@ -1,22 +1,27 @@
 // Out-of-core row-group paged dataset (the xgboost page_dmatrix idea,
 // adapted to roadmine's columnar Dataset).
 //
-// A paged dataset is a directory:
+// A paged dataset is a directory (page format version 2):
 //   pages.meta        versioned binary header: schema (names, types,
 //                     categorical dictionaries), page_rows, page count,
-//                     total rows, FNV-1a checksum;
+//                     total rows, checksum;
 //   page_NNNNNN.rmpg  one row group per file: the page's rows in
 //                     columnar binary form (raw doubles / int32 codes),
-//                     FNV-1a checksum.
+//                     checksum.
 // Every page carries the full column set; pages are page_rows long
 // except the last. The format is binary end to end — floats are stored
 // as their 8 raw bytes, never as text (enforced by the `page-binary`
-// lint rule), so round-trips are bit-exact by construction.
+// lint rule), so round-trips are bit-exact by construction. Both file
+// kinds end in a util::Checksum digest (util/checksum.h) of everything
+// before it.
 //
 // PagedDatasetWriter streams arbitrary-size chunks in and re-pages them;
 // PagedDataset::Pages() streams them back as a RowSource, prefetching
 // the next page on an exec::Executor while the caller consumes the
 // current one (double buffering: at most two pages resident per stream).
+// A page is read in one pass with no whole-file buffer: its size is
+// checked against the meta first, then each payload goes straight into
+// its column and through the checksum.
 #ifndef ROADMINE_DATA_PAGED_DATASET_H_
 #define ROADMINE_DATA_PAGED_DATASET_H_
 
@@ -41,7 +46,9 @@ struct PagedDatasetOptions {
 };
 
 // Streams chunks into a page directory. Create → Append* → Finish;
-// Finish writes the meta file (nothing is readable before it).
+// Finish writes the meta file (nothing is readable before it). Each page
+// written records a "data.page.write" span and adds its size to the
+// "data.page.bytes_written" counter.
 class PagedDatasetWriter {
  public:
   [[nodiscard]] static util::Result<std::unique_ptr<PagedDatasetWriter>> Create(
@@ -78,6 +85,9 @@ class PagedDatasetWriter {
 // is what lets Pages() prefetch on a pool worker.
 class PagedDataset {
  public:
+  // Reads and verifies pages.meta. A meta of another format version is
+  // InvalidArgument (its version is checked before its checksum); any
+  // other damage is DataLoss.
   [[nodiscard]] static util::Result<PagedDataset> Open(
       const std::string& directory);
 
@@ -90,13 +100,18 @@ class PagedDataset {
   // Rows in page `index` (all pages are full except the last).
   size_t RowsInPage(size_t index) const;
 
-  // Reads and verifies one page. Errors: missing file, truncation,
-  // checksum mismatch, header/schema disagreement.
+  // Reads and verifies one page. Errors: an index past the last page
+  // (InvalidArgument); missing file (NotFound); a path
+  // that is not a regular file, a size other than the meta implies, a
+  // checksum mismatch, or a header that disagrees with the meta
+  // (DataLoss). Records a "data.page.read" span and adds the file's size
+  // to the "data.page.bytes_read" counter.
   [[nodiscard]] util::Result<Dataset> ReadPage(size_t index) const;
 
   // Sequential RowSource over the pages. With an executor, page i+1 is
-  // read on a worker while the caller consumes page i. The stream (and
-  // any in-flight prefetch) must not outlive the PagedDataset.
+  // read on a worker while the caller consumes page i; Next() records its
+  // wait for a prefetched page as a "data.page.prefetch_wait" span. The
+  // stream (and any in-flight prefetch) must not outlive the PagedDataset.
   class PageStream : public RowSource {
    public:
     PageStream(const PagedDataset* dataset, exec::Executor* executor)

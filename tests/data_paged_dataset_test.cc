@@ -18,6 +18,9 @@
 #include "data/dataset.h"
 #include "data/row_source.h"
 #include "exec/executor.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "util/checksum.h"
 
 namespace roadmine::data {
 namespace {
@@ -220,25 +223,28 @@ TEST(PagedDatasetTest, TruncatedPageFails) {
   EXPECT_FALSE(paged->ReadPage(2).ok());
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 // Overwrites `bytes` at `offset` in a page-format file and re-signs it
-// with a valid FNV-1a checksum, so only the decoder's own checks stand
+// with the format's checksum, so only the decoder's own checks stand
 // between the forged counts and an allocation.
 template <typename T>
 void ForgeField(const std::string& path, size_t offset, T value) {
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
+  std::string bytes = ReadBytes(path);
   ASSERT_GE(bytes.size(), offset + sizeof(T) + 8);
   std::memcpy(bytes.data() + offset, &value, sizeof(T));
-  uint64_t hash = 14695981039346656037ULL;
-  for (size_t i = 0; i + 8 < bytes.size(); ++i) {
-    hash ^= static_cast<unsigned char>(bytes[i]);
-    hash *= 1099511628211ULL;
-  }
-  std::memcpy(bytes.data() + bytes.size() - 8, &hash, 8);
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  util::Checksum checksum;
+  checksum.Update(bytes.data(), bytes.size() - 8);
+  const uint64_t digest = checksum.Digest();
+  std::memcpy(bytes.data() + bytes.size() - 8, &digest, 8);
+  WriteBytes(path, bytes);
 }
 
 // pages.meta: magic, u32 version, then u64 page_rows, num_pages,
@@ -251,6 +257,13 @@ constexpr size_t kMetaKindCategories = 36 + (1 + 4 + 1 + 4) + (1 + 4 + 4);
 // page file: magic, u32 version, u64 page_index, then u64 num_rows.
 constexpr size_t kPageNumRows = 16;
 
+// A forged field is re-signed, so the decoder must catch it by its own
+// check; a checksum mismatch here would mean the forgery never got that far.
+void ExpectNotAChecksumError(const util::Status& status) {
+  EXPECT_EQ(status.message().find("checksum"), std::string::npos)
+      << status.ToString();
+}
+
 TEST(PagedDatasetTest, ForgedCategoryCountIsDataLossNotAnAllocation) {
   const Dataset ds = AwkwardDataset();
   const std::string dir = WritePages(ds, /*page_rows=*/5, "forged_meta");
@@ -258,6 +271,7 @@ TEST(PagedDatasetTest, ForgedCategoryCountIsDataLossNotAnAllocation) {
   auto paged = PagedDataset::Open(dir);
   ASSERT_FALSE(paged.ok());
   EXPECT_EQ(paged.status().code(), util::StatusCode::kDataLoss);
+  ExpectNotAChecksumError(paged.status());
 }
 
 TEST(PagedDatasetTest, ForgedRowCountsAreDataLossNotAnAllocation) {
@@ -275,6 +289,18 @@ TEST(PagedDatasetTest, ForgedRowCountsAreDataLossNotAnAllocation) {
   auto page = paged->ReadPage(0);
   ASSERT_FALSE(page.ok());
   EXPECT_EQ(page.status().code(), util::StatusCode::kDataLoss);
+  ExpectNotAChecksumError(page.status());
+
+  // One page of 2^62 rows: its byte size does not fit in 64 bits.
+  const uint64_t vast = uint64_t{1} << 62;
+  ForgeField<uint64_t>(dir + "/pages.meta", kMetaPageRows, vast);
+  ForgeField<uint64_t>(dir + "/pages.meta", kMetaTotalRows, vast);
+  auto vast_paged = PagedDataset::Open(dir);
+  ASSERT_TRUE(vast_paged.ok()) << vast_paged.status().ToString();
+  auto vast_page = vast_paged->ReadPage(0);
+  ASSERT_FALSE(vast_page.ok());
+  EXPECT_EQ(vast_page.status().code(), util::StatusCode::kDataLoss);
+  ExpectNotAChecksumError(vast_page.status());
 
   // A row total so large that rounding it up to whole pages wraps.
   ForgeField<uint64_t>(dir + "/pages.meta", kMetaPageRows, 2);
@@ -283,6 +309,166 @@ TEST(PagedDatasetTest, ForgedRowCountsAreDataLossNotAnAllocation) {
   auto wrapped = PagedDataset::Open(dir);
   ASSERT_FALSE(wrapped.ok());
   EXPECT_EQ(wrapped.status().code(), util::StatusCode::kDataLoss);
+  ExpectNotAChecksumError(wrapped.status());
+}
+
+// A directory where a file should be has no size to trust: reading one
+// must be an error status, not an allocation sized from lseek.
+TEST(PagedDatasetTest, DirectoryInPlaceOfAFileIsDataLoss) {
+  const Dataset ds = AwkwardDataset();
+  const std::string dir = WritePages(ds, /*page_rows=*/5, "dir_in_place");
+  auto paged = PagedDataset::Open(dir);
+  ASSERT_TRUE(paged.ok());
+  const std::string page_path = dir + "/page_000001.rmpg";
+  std::filesystem::remove(page_path);
+  std::filesystem::create_directory(page_path);
+  auto page = paged->ReadPage(1);
+  ASSERT_FALSE(page.ok());
+  EXPECT_EQ(page.status().code(), util::StatusCode::kDataLoss);
+  EXPECT_TRUE(paged->ReadPage(0).ok());
+
+  std::filesystem::remove(dir + "/pages.meta");
+  std::filesystem::create_directory(dir + "/pages.meta");
+  auto reopened = PagedDataset::Open(dir);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), util::StatusCode::kDataLoss);
+}
+
+// A version-1 directory (FNV-1a checksums) reports its version, not a
+// checksum mismatch: the meta's magic and version are parsed first.
+TEST(PagedDatasetTest, OldFormatVersionIsReportedAsSuch) {
+  std::string meta("RMPD", 4);
+  auto put = [&meta](auto value) {
+    meta.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(uint32_t{1});  // format version
+  put(uint64_t{5});  // page_rows
+  put(uint64_t{1});  // num_pages
+  put(uint64_t{5});  // total_rows
+  put(uint32_t{1});  // num_columns
+  put(uint8_t{0});   // numeric
+  put(uint32_t{1});  // name length
+  meta += "x";
+  put(uint32_t{0});  // no categories
+  uint64_t fnv1a = 14695981039346656037ULL;  // how version 1 signed it
+  for (const char c : meta) {
+    fnv1a = (fnv1a ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  put(fnv1a);
+  const std::string dir = ::testing::TempDir() + "/paged_v1";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  WriteBytes(dir + "/pages.meta", meta);
+
+  auto paged = PagedDataset::Open(dir);
+  ASSERT_FALSE(paged.ok());
+  EXPECT_EQ(paged.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(paged.status().message().find("unsupported page format version 1"),
+            std::string::npos)
+      << paged.status().ToString();
+}
+
+// Exhaustive corruption of one page file and of the meta: every
+// single-bit flip, every shorter length, and one byte too many. Each is an
+// error status — DataLoss, or InvalidArgument for a flip in the meta's
+// version field (a page whose version disagrees with its meta is
+// DataLoss) — and never an abort or an OK read.
+TEST(PagedDatasetTest, EveryBitFlipAndTruncationIsAnErrorStatus) {
+  const Dataset ds = AwkwardDataset();
+  const std::string dir = WritePages(ds, /*page_rows=*/5, "sweep");
+  auto paged = PagedDataset::Open(dir);
+  ASSERT_TRUE(paged.ok());
+  const std::string page_path = dir + "/page_000001.rmpg";
+  const std::string meta_path = dir + "/pages.meta";
+
+  // Writes each corruption of `path` and checks what `read` returns.
+  auto sweep = [](const std::string& path, bool is_meta, auto read) {
+    const std::string original = ReadBytes(path);
+    ASSERT_GT(original.size(), 8u);
+    auto expect = [&](const std::string& bytes, util::StatusCode code,
+                      const std::string& what) {
+      WriteBytes(path, bytes);
+      const util::Status status = read();
+      EXPECT_EQ(status.code(), code) << path << ", " << what << ": "
+                                     << status.ToString();
+    };
+    for (size_t bit = 0; bit < original.size() * 8; ++bit) {
+      std::string bytes = original;
+      bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+      const bool in_version = bit / 8 >= 4 && bit / 8 < 8;
+      expect(bytes,
+             is_meta && in_version ? util::StatusCode::kInvalidArgument
+                                   : util::StatusCode::kDataLoss,
+             "bit " + std::to_string(bit) + " flipped");
+    }
+    for (size_t size = 0; size < original.size(); ++size) {
+      expect(original.substr(0, size), util::StatusCode::kDataLoss,
+             "truncated to " + std::to_string(size) + " bytes");
+    }
+    expect(original + '\0', util::StatusCode::kDataLoss, "one byte appended");
+    WriteBytes(path, original);
+    EXPECT_TRUE(read().ok()) << path << " restored";
+  };
+  sweep(page_path, /*is_meta=*/false,
+        [&] { return paged->ReadPage(1).status(); });
+  sweep(meta_path, /*is_meta=*/true,
+        [&] { return PagedDataset::Open(dir).status(); });
+}
+
+uint64_t PageFileBytesIn(const std::string& dir) {
+  uint64_t total = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".rmpg") total += entry.file_size();
+  }
+  return total;
+}
+
+#if ROADMINE_TRACE_ENABLED
+size_t SpansNamed(const std::string& name) {
+  size_t count = 0;
+  for (const obs::SpanRecord& span : obs::TraceCollector::Global().Snapshot()) {
+    count += span.name == name ? 1 : 0;
+  }
+  return count;
+}
+#endif
+
+// Writing and reading a directory are observable: one span per page
+// written or read, one per wait on a prefetch, and byte counters that
+// advance by the page files' sizes.
+TEST(PagedDatasetTest, PageIoRecordsSpansAndCountsBytes) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Counter& written = metrics.GetCounter("data.page.bytes_written");
+  obs::Counter& read = metrics.GetCounter("data.page.bytes_read");
+  obs::TraceCollector& collector = obs::TraceCollector::Global();
+  collector.Clear();
+  collector.Enable();
+
+  const uint64_t written_before = written.value();
+  const Dataset ds = AwkwardDataset();
+  const std::string dir = WritePages(ds, /*page_rows=*/5, "observed");
+  const uint64_t page_bytes = PageFileBytesIn(dir);
+  EXPECT_EQ(written.value() - written_before, page_bytes);
+
+  auto paged = PagedDataset::Open(dir);
+  ASSERT_TRUE(paged.ok());
+  const uint64_t read_before = read.value();
+  exec::ThreadPool pool(2);
+  PagedDataset::PageStream stream = paged->Pages(&pool);
+  for (;;) {
+    auto chunk = stream.Next();
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    if (*chunk == nullptr) break;
+  }
+  collector.Disable();
+  EXPECT_EQ(read.value() - read_before, page_bytes);
+#if ROADMINE_TRACE_ENABLED
+  EXPECT_EQ(SpansNamed("data.page.write"), paged->num_pages());
+  EXPECT_EQ(SpansNamed("data.page.read"), paged->num_pages());
+  // The first page is read in place; every later one was prefetched.
+  EXPECT_EQ(SpansNamed("data.page.prefetch_wait"), paged->num_pages() - 1);
+#endif
+  collector.Clear();
 }
 
 }  // namespace
