@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "core/thresholds.h"
 #include "data/split.h"
@@ -16,6 +17,7 @@
 #include "eval/trainers.h"
 #include "ml/classifier.h"
 #include "ml/common.h"
+#include "ml/feature_index.h"
 #include "ml/m5_tree.h"
 #include "roadgen/dataset_builder.h"
 
@@ -66,6 +68,26 @@ Result<std::vector<ThresholdModelResult>> CrashPronenessStudy::RunTreeSweep(
   auto counts = PrepareTargets(dataset, config_);
   if (!counts.ok()) return counts.status();
 
+  // One FeatureIndex for the whole sweep: only target columns change
+  // between thresholds, so every threshold's regression and decision tree
+  // grows over it. An index the caller already set in either param set is
+  // used as given.
+  ml::RegressionTreeParams regression_params = config_.regression_params;
+  ml::DecisionTreeParams tree_params = config_.tree_params;
+  const bool regression_shares = regression_params.use_feature_index &&
+                                 regression_params.feature_index == nullptr;
+  const bool tree_shares = tree_params.use_feature_index &&
+                           !tree_params.use_histogram &&
+                           tree_params.feature_index == nullptr;
+  std::optional<ml::FeatureIndex> sweep_index;
+  if (regression_shares || tree_shares) {
+    auto built = ml::FeatureIndex::Build(dataset, features, config_.executor);
+    if (!built.ok()) return built.status();
+    sweep_index.emplace(std::move(*built));
+    if (regression_shares) regression_params.feature_index = &*sweep_index;
+    if (tree_shares) tree_params.feature_index = &*sweep_index;
+  }
+
   // One task per CP-threshold row; each draws its split from child stream
   // i of the study seed, so row i is identical however tasks interleave.
   std::vector<ThresholdModelResult> results(config_.thresholds.size());
@@ -94,7 +116,7 @@ Result<std::vector<ThresholdModelResult>> CrashPronenessStudy::RunTreeSweep(
 
         // Regression tree on the target as an interval variable.
         {
-          ml::RegressionTree tree(config_.regression_params);
+          ml::RegressionTree tree(regression_params);
           ROADMINE_RETURN_IF_ERROR(
               tree.Fit(dataset, target, features, split->train));
           auto labels = ml::ExtractNumericTarget(dataset, target);
@@ -111,7 +133,7 @@ Result<std::vector<ThresholdModelResult>> CrashPronenessStudy::RunTreeSweep(
 
         // Chi-square decision tree on the Boolean target.
         {
-          ml::DecisionTreeClassifier tree(config_.tree_params);
+          ml::DecisionTreeClassifier tree(tree_params);
           ROADMINE_RETURN_IF_ERROR(
               tree.Fit(dataset, target, features, split->train));
           auto labels = ml::ExtractBinaryLabels(dataset, target);

@@ -25,7 +25,7 @@ Status BaggedTreesClassifier::Fit(const data::Dataset& dataset,
   if (params_.feature_fraction <= 0.0 || params_.feature_fraction > 1.0) {
     return InvalidArgumentError("feature_fraction outside (0, 1]");
   }
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   if (feature_columns.empty()) return InvalidArgumentError("no features");
 
   trees_.clear();

@@ -28,6 +28,18 @@ Result<std::vector<int8_t>> ExtractBinaryLabels(
   return labels;
 }
 
+util::Status CheckFitRows(const std::vector<size_t>& rows, size_t num_rows) {
+  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  for (size_t r : rows) {
+    if (r >= num_rows) {
+      return InvalidArgumentError("fit row " + std::to_string(r) +
+                                  " is past the dataset's " +
+                                  std::to_string(num_rows) + " rows");
+    }
+  }
+  return util::Status::Ok();
+}
+
 Result<std::vector<double>> ExtractNumericTarget(
     const data::Dataset& dataset, const std::string& target_column) {
   auto col = dataset.ColumnByName(target_column);

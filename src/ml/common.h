@@ -24,6 +24,13 @@ namespace roadmine::ml {
 [[nodiscard]] util::Result<std::vector<double>> ExtractNumericTarget(
     const data::Dataset& dataset, const std::string& target_column);
 
+// Validates a fit's row list against the dataset it indexes: an empty
+// list, or any row id >= `num_rows`, is an InvalidArgumentError. Every
+// learner's Fit(dataset, ..., rows) calls it first, before any per-row
+// array is indexed by a row id.
+[[nodiscard]] util::Status CheckFitRows(const std::vector<size_t>& rows,
+                                        size_t num_rows);
+
 // A resolved feature column reference.
 struct FeatureRef {
   size_t column_index = 0;

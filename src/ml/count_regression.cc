@@ -101,7 +101,7 @@ Status PoissonRegression::Fit(const data::Dataset& dataset,
                               const std::string& target_column,
                               const std::vector<std::string>& feature_columns,
                               const std::vector<size_t>& rows) {
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   auto target = ExtractNumericTarget(dataset, target_column);
   if (!target.ok()) return target.status();
   for (size_t r : rows) {
@@ -168,7 +168,7 @@ Status ZeroInflatedPoisson::Fit(const data::Dataset& dataset,
                                 const std::string& target_column,
                                 const std::vector<std::string>& feature_columns,
                                 const std::vector<size_t>& rows) {
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   auto target = ExtractNumericTarget(dataset, target_column);
   if (!target.ok()) return target.status();
   ROADMINE_RETURN_IF_ERROR(gate_encoder_.Fit(dataset, feature_columns, rows));

@@ -433,7 +433,7 @@ Status DecisionTreeClassifier::Fit(
   ROADMINE_TRACE_SPAN("ml.decision_tree.fit");
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   auto labels = ExtractBinaryLabels(dataset, target_column);
   if (!labels.ok()) return labels.status();
   auto features = ResolveFeatures(dataset, feature_columns, target_column);

@@ -62,9 +62,10 @@ struct DecisionTreeParams {
   // The legacy per-node-sort path (false) is kept for A/B benching.
   bool use_feature_index = true;
   // Optional pre-built index over the training dataset's feature columns,
-  // shared across fits (ensemble members, CV folds). Not owned; only read
-  // during Fit. When null and use_feature_index is set, Fit builds a
-  // private index. Must cover the fit's features over the same dataset.
+  // shared across fits (ensemble members, CV folds, a study sweep). Not
+  // owned; only read during Fit. When null and use_feature_index is set,
+  // Fit builds a private index. Must cover the fit's features over the
+  // same dataset.
   const FeatureIndex* feature_index = nullptr;
   // Search numeric splits over quantile-binned histograms
   // (ml/histogram_index.h) instead of every sorted value: per-node class

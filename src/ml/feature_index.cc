@@ -35,6 +35,9 @@ util::Result<FeatureIndex> FeatureIndex::Build(
   obs::ScopedLatency build_timer(obs::MetricsRegistry::Global().GetHistogram(
       "ml.feature_index.build_ms"));
 
+  if (dataset.num_rows() >= kMissingRank) {
+    return InvalidArgumentError("too many rows for a FeatureIndex");
+  }
   FeatureIndex out;
   out.num_rows_ = dataset.num_rows();
   out.numeric_slot_.assign(dataset.num_columns(), 0);
@@ -75,25 +78,23 @@ util::Result<FeatureIndex> FeatureIndex::Build(
       const size_t c = numeric_columns[i];
       const data::Column& col = dataset.column(c);
       NumericColumn& slot = out.numeric_[out.numeric_slot_[c] - 1];
-      slot.sorted_rows.reserve(n);
+      slot.rank.assign(n, kMissingRank);
+      std::vector<std::pair<double, uint32_t>> present;
+      present.reserve(n);
       for (size_t r = 0; r < n; ++r) {
         const double v = col.NumericAt(r);
-        if (std::isnan(v)) {
-          slot.missing_rows.push_back(static_cast<uint32_t>(r));
-        } else {
-          slot.sorted_rows.push_back(static_cast<uint32_t>(r));
-        }
+        if (!std::isnan(v)) present.emplace_back(v, static_cast<uint32_t>(r));
       }
-      // Stable by value: ties keep ascending row order, which the
-      // regression bit-identity precondition relies on.
-      std::stable_sort(slot.sorted_rows.begin(), slot.sorted_rows.end(),
-                       [&col](uint32_t a, uint32_t b) {
-                         return col.NumericAt(a) < col.NumericAt(b);
-                       });
-      slot.constant =
-          slot.sorted_rows.empty() ||
-          col.NumericAt(slot.sorted_rows.front()) ==
-              col.NumericAt(slot.sorted_rows.back());
+      // Equal values share a rank, so their order after the sort is
+      // irrelevant and an unstable sort suffices.
+      std::sort(present.begin(), present.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (size_t j = 0; j < present.size(); ++j) {
+        if (j > 0 && present[j - 1].first < present[j].first) ++slot.distinct;
+        slot.rank[present[j].second] = slot.distinct;
+      }
+      if (!present.empty()) ++slot.distinct;
+      slot.constant = slot.distinct < 2;
     } else {
       const size_t c = categorical_columns[i - numeric_columns.size()];
       const data::Column& col = dataset.column(c);
@@ -173,10 +174,6 @@ IndexedSplitWorkspace::IndexedSplitWorkspace(
   slot_.assign(features.size(), kNoSlot);
   constant_.assign(features.size(), 0);
 
-  // Fit-row multiplicities (bootstrap samples carry duplicates).
-  std::vector<uint32_t> mult(index.num_rows(), 0);
-  for (size_t r : rows) ++mult[r];
-
   size_t numeric_count = 0;
   for (size_t f = 0; f < features.size(); ++f) {
     if (features[f].type == data::ColumnType::kNumeric) {
@@ -189,26 +186,39 @@ IndexedSplitWorkspace::IndexedSplitWorkspace(
   work_.resize(numeric_count);
   segments_.resize(numeric_count);
 
-  // Project each numeric column's global sorted order onto the fit rows,
-  // expanding multiplicities into adjacent entries (equal value, equal
-  // row — indistinguishable to split search, so expansion order within a
-  // duplicate group cannot matter).
+  // Stable counting sort of the fit rows by value rank: present rows land
+  // in (value, fit position) order, each duplicate at its own position,
+  // and missing rows keep fit order.
   RunPerFeature([&](size_t f) {
     if (slot_[f] == kNoSlot) return;
-    const FeatureIndex::NumericColumn& col_index =
+    const FeatureIndex::NumericColumn& column =
         *index.Numeric(features[f].column_index);
     const data::Column& col = dataset.column(features[f].column_index);
     NumericWork& work = work_[slot_[f]];
-    work.values.reserve(rows.size());
-    work.rows.reserve(rows.size());
-    for (uint32_t r : col_index.sorted_rows) {
-      for (uint32_t m = 0; m < mult[r]; ++m) {
-        work.values.push_back(col.NumericAt(r));
-        work.rows.push_back(r);
+    // next[k] = first output position of rank k (after the prefix sum).
+    std::vector<size_t> next(static_cast<size_t>(column.distinct) + 1, 0);
+    size_t missing = 0;
+    for (size_t r : rows) {
+      const uint32_t k = column.rank[r];
+      if (k == FeatureIndex::kMissingRank) {
+        ++missing;
+      } else {
+        ++next[static_cast<size_t>(k) + 1];
       }
     }
-    for (uint32_t r : col_index.missing_rows) {
-      for (uint32_t m = 0; m < mult[r]; ++m) work.missing.push_back(r);
+    for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+    work.values.resize(rows.size() - missing);
+    work.rows.resize(rows.size() - missing);
+    work.missing.reserve(missing);
+    for (size_t r : rows) {
+      const uint32_t k = column.rank[r];
+      if (k == FeatureIndex::kMissingRank) {
+        work.missing.push_back(static_cast<uint32_t>(r));
+        continue;
+      }
+      const size_t at = next[k]++;
+      work.values[at] = col.NumericAt(r);
+      work.rows[at] = static_cast<uint32_t>(r);
     }
     const size_t scratch = std::max(work.rows.size(), work.missing.size());
     work.scratch_values.resize(scratch);

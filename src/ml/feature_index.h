@@ -4,29 +4,30 @@
 // numeric splits by scanning each candidate attribute in value order. The
 // legacy implementation re-gathers and re-sorts the node's rows for every
 // numeric attribute at every node — an O(attrs * n log n)-per-node cost.
-// A FeatureIndex removes every per-node sort: each numeric column's row
-// order is sorted once per dataset (missing rows segregated), each
+// A FeatureIndex removes every per-node sort: each numeric column's
+// values are ranked once per dataset (missing rows flagged), each
 // categorical column's rows are grouped into level buckets, and tree
 // growth maintains the value order per node by *stable partitioning* the
 // sorted ranges as nodes split (the SLIQ/SPRINT layout; see also the
 // exact-greedy column index in xgboost).
 //
 // Bit-identity guarantee: split search over the index visits exactly the
-// same candidate thresholds with exactly the same sufficient statistics
-// as the legacy per-node-sort path, so the produced trees are
-// bit-identical (enforced by tests/ml_feature_index_test.cc). Two facts
-// make this hold:
-//   * classification statistics are integer counts (exact in double), so
-//     tie order inside equal feature values cannot perturb them;
-//   * regression statistics are running double sums, so the index is only
-//     used when the accumulation order provably matches the legacy path:
-//     rows strictly ascending, legacy sort stable (see regression_tree.cc
-//     for the fallback rule).
+// same candidate thresholds with exactly the same sufficient statistics,
+// accumulated in exactly the same order, as the legacy per-node-sort
+// path, so the produced trees are bit-identical for any fit-row list
+// (enforced by tests/ml_feature_index_test.cc). The legacy path stable-
+// sorts a node's gathered rows by value, so equal values keep their order
+// in the fit's `rows`, and missing rows keep it too. The per-fit
+// IndexedSplitWorkspace lists rows in that same (value, fit position)
+// order, with missing rows in fit order, and stable partitioning keeps it
+// at every node. That order matters for regression, whose statistics are
+// running double sums; classification statistics are integer counts and
+// exact in any order.
 //
 // One index is built per dataset and shared — across all members of a
-// bagged ensemble, across CV folds, across A/B reruns. The index holds
-// row ids only (no values), is immutable after Build, and is safe to read
-// from any number of threads.
+// bagged ensemble, across CV folds, across every tree of a study sweep.
+// The index holds row ids and value ranks only, is immutable after Build,
+// and is safe to read from any number of threads.
 #ifndef ROADMINE_ML_FEATURE_INDEX_H_
 #define ROADMINE_ML_FEATURE_INDEX_H_
 
@@ -48,12 +49,17 @@ namespace roadmine::ml {
 
 class FeatureIndex {
  public:
+  // Rank of a missing (NaN) value in NumericColumn::rank.
+  static constexpr uint32_t kMissingRank = UINT32_MAX;
+
   struct NumericColumn {
-    // Rows with a present value, stably sorted ascending by value (ties
-    // keep ascending row order).
-    std::vector<uint32_t> sorted_rows;
-    // Rows with a missing (NaN) value, ascending.
-    std::vector<uint32_t> missing_rows;
+    // Per dataset row: the dense rank of the row's value among the
+    // column's distinct present values (0 = smallest, equal values share
+    // a rank), or kMissingRank when the value is missing. A fit orders its
+    // rows by counting sort on this rank (see IndexedSplitWorkspace).
+    std::vector<uint32_t> rank;
+    // Number of distinct present values (one past the largest rank).
+    uint32_t distinct = 0;
     // Fewer than two distinct present values: the column can never yield
     // a split at any node, so split search skips it outright.
     bool constant = false;
@@ -75,7 +81,8 @@ class FeatureIndex {
 
   // Builds the index for the named columns of `dataset`. Columns build
   // independently, so an executor parallelizes the per-column sorts; the
-  // result is identical at any thread count.
+  // result is identical at any thread count. Fails when the dataset has
+  // more rows than a uint32_t row id can address.
   [[nodiscard]] static util::Result<FeatureIndex> Build(
       const data::Dataset& dataset,
       const std::vector<std::string>& columns,
@@ -109,9 +116,9 @@ class FeatureIndex {
   std::vector<CategoricalColumn> categorical_;
 };
 
-// True when `rows` is strictly ascending (sorted, no duplicates) — the
-// precondition under which regression split search over the index is
-// bit-identical to the legacy path (see file comment).
+// True when `rows` is strictly ascending (sorted, no duplicates). No
+// library code calls it: tree fits grow over the index for any row order.
+// It is kept because perfbench/study.cc's replay still reads it.
 bool StrictlyAscending(const std::vector<size_t>& rows);
 
 // Per-fit mutable view over a FeatureIndex: every numeric feature's rows
@@ -122,22 +129,29 @@ bool StrictlyAscending(const std::vector<size_t>& rows);
 //
 // Node handles are the caller's node ids (the tree's node vector indices):
 // the root is node 0, and SplitNode registers the children's segments
-// under the ids the caller allocated. Duplicate rows in `rows` (bootstrap
-// samples) are expanded into adjacent entries of the sorted order.
+// under the ids the caller allocated. The root lists each numeric
+// feature's present rows by (value, position in `rows`) and its missing
+// rows in `rows` order; a row listed twice (bootstrap samples) appears at
+// each of its positions. That is the order the legacy path's stable
+// per-node sort produces for any row list (see the file comment).
 class IndexedSplitWorkspace {
  public:
-  // `features` must be covered by `index` and `index.num_rows()` must
-  // match `dataset.num_rows()` (the tree Fit validates both). `rows` is
-  // the fit's row multiset. An executor parallelizes per-feature work;
-  // results are identical at any thread count.
+  // `features` must be covered by `index`, `index.num_rows()` must match
+  // `dataset.num_rows()` and every id in `rows` must be below it (the tree
+  // Fit validates all three). `rows` is the fit's row list, in fit order.
+  // Each numeric feature is ordered by a stable counting sort of `rows` on
+  // the index's value ranks: O(rows + distinct values), no comparison
+  // sort. An executor parallelizes per-feature work; results are
+  // identical at any thread count.
   IndexedSplitWorkspace(const FeatureIndex& index,
                         const data::Dataset& dataset,
                         const std::vector<FeatureRef>& features,
                         const std::vector<size_t>& rows,
                         exec::Executor* executor);
 
-  // A node's view of one numeric feature: `count` rows in ascending value
-  // order plus the node's missing rows for that feature (fit-row order).
+  // A node's view of one numeric feature: `count` rows in (value, fit
+  // position) order plus the node's missing rows for that feature (fit
+  // order).
   struct NumericView {
     const double* values = nullptr;
     const uint32_t* rows = nullptr;
@@ -172,9 +186,9 @@ class IndexedSplitWorkspace {
  private:
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
-  // One numeric feature's per-fit payload: fit rows in ascending value
-  // order (`values`/`rows` parallel), missing rows in fit order, plus
-  // scratch for the right-hand side of an in-place stable partition.
+  // One numeric feature's per-fit payload: fit rows in (value, fit
+  // position) order (`values`/`rows` parallel), missing rows in fit order,
+  // plus scratch for the right-hand side of an in-place stable partition.
   struct NumericWork {
     std::vector<double> values;
     std::vector<uint32_t> rows;
@@ -201,8 +215,8 @@ class IndexedSplitWorkspace {
     const Segment seg = segments_[slot][static_cast<size_t>(node)];
 
     // Stable in-place partition: left-goers compact forward, right-goers
-    // stage in scratch then append. Both sides keep ascending value order
-    // because a subsequence of a sorted range is sorted.
+    // stage in scratch then append. Both sides keep (value, fit position)
+    // order because a subsequence of a sorted range is sorted.
     size_t write = seg.present_begin;
     size_t staged = 0;
     for (size_t i = seg.present_begin;

@@ -778,7 +778,7 @@ Status GradientBoostedTrees::Fit(const data::Dataset& dataset,
   ROADMINE_TRACE_SPAN("ml.gbt.fit");
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   if (rows.size() >= kMaxFitRows) {
     return InvalidArgumentError("too many rows for one fit");
   }

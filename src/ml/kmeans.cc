@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "ml/common.h"
+
 namespace roadmine::ml {
 
 using util::InvalidArgumentError;
@@ -154,6 +156,7 @@ Result<KMeansResult> KMeans::Fit(const data::Dataset& dataset,
   if (rows.size() < params_.k) {
     return InvalidArgumentError("fewer rows than clusters");
   }
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   ROADMINE_RETURN_IF_ERROR(encoder_.Fit(dataset, feature_columns, rows));
   auto matrix = encoder_.Transform(dataset, rows);
   if (!matrix.ok()) return matrix.status();

@@ -28,7 +28,7 @@ Status LogisticRegression::Fit(const data::Dataset& dataset,
                                const std::string& target_column,
                                const std::vector<std::string>& feature_columns,
                                const std::vector<size_t>& rows) {
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   auto labels = ExtractBinaryLabels(dataset, target_column);
   if (!labels.ok()) return labels.status();
   ROADMINE_RETURN_IF_ERROR(encoder_.Fit(dataset, feature_columns, rows));

@@ -17,6 +17,7 @@ Status M5Tree::Fit(const data::Dataset& dataset,
                    const std::string& target_column,
                    const std::vector<std::string>& feature_columns,
                    const std::vector<size_t>& rows) {
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   ROADMINE_RETURN_IF_ERROR(
       structure_.Fit(dataset, target_column, feature_columns, rows));
   auto target = ExtractNumericTarget(dataset, target_column);

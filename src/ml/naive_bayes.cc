@@ -20,7 +20,7 @@ Status NaiveBayesClassifier::Fit(const data::Dataset& dataset,
   ROADMINE_TRACE_SPAN("ml.naive_bayes.fit");
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   auto labels = ExtractBinaryLabels(dataset, target_column);
   if (!labels.ok()) return labels.status();
   auto features = ResolveFeatures(dataset, feature_columns, target_column);

@@ -52,7 +52,7 @@ Status NeuralNetClassifier::Fit(const data::Dataset& dataset,
   ROADMINE_TRACE_SPAN("ml.neural_net.fit");
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   if (params_.batch_size == 0) return InvalidArgumentError("batch_size == 0");
   auto labels = ExtractBinaryLabels(dataset, target_column);
   if (!labels.ok()) return labels.status();

@@ -68,11 +68,11 @@ struct FitContext {
   const std::vector<double>* target = nullptr;  // By dataset row id.
   const std::vector<FeatureRef>* features = nullptr;
   const RegressionTreeParams* params = nullptr;
-  // Pre-sorted view of the numeric features (null = legacy per-node sort).
-  // Only set when the fit rows are strictly ascending: target sums are
-  // order-sensitive doubles, and that is the precondition under which the
-  // indexed accumulation order provably equals the legacy one (stable sort
-  // ties keep row order; stable partitioning preserves it down the tree).
+  // Pre-sorted view of the numeric features (null = legacy per-node sort,
+  // the identity tests' reference). Target sums are order-sensitive
+  // doubles; the workspace lists each node's rows by (value, fit
+  // position), which is the order the legacy stable sort of the node's
+  // gathered rows yields, for any fit-row list.
   IndexedSplitWorkspace* workspace = nullptr;
 };
 
@@ -87,7 +87,7 @@ bool MissingGoesLeft(const TargetStats& left, const TargetStats& right,
 }
 
 // Scans one numeric feature's candidate thresholds over its present rows
-// in ascending (value, row) order — the shared enumeration for the legacy
+// in (value, fit position) order — the shared enumeration for the legacy
 // and indexed paths, which must visit rows in the identical order for the
 // running target sums to match bit-for-bit.
 template <typename ValueAt, typename TargetAt>
@@ -161,9 +161,9 @@ SplitSpec EvaluateFeature(const FitContext& ctx, const std::vector<size_t>& rows
       }
     }
     if (present.size() < 2 * params.min_samples_leaf) return {};
-    // Stable: equal feature values keep their gather (node-row) order, so
-    // the candidate stats are a deterministic function of the row set —
-    // and, for ascending row sets, exactly what the indexed path computes.
+    // Stable: equal feature values keep their gather (node-row, i.e. fit
+    // position) order, so the candidate stats are exactly what the
+    // indexed path computes.
     std::stable_sort(present.begin(), present.end(),
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
@@ -273,7 +273,7 @@ Status RegressionTree::Fit(const data::Dataset& dataset,
   ROADMINE_TRACE_SPAN("ml.regression_tree.fit");
   obs::ScopedLatency fit_timer(
       obs::MetricsRegistry::Global().GetHistogram("ml.fit_ms"));
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   auto target = ExtractNumericTarget(dataset, target_column);
   if (!target.ok()) return target.status();
   auto features = ResolveFeatures(dataset, feature_columns, target_column);
@@ -281,15 +281,14 @@ Status RegressionTree::Fit(const data::Dataset& dataset,
   features_ = std::move(*features);
   nodes_.clear();
 
-  // The indexed path requires strictly ascending fit rows for bit-identity
-  // (see FitContext::workspace); any other row set silently keeps the
-  // legacy per-node sorts. That includes every study fit: core::Study's
-  // regression trees and M5 structures train on the rows of
-  // data::StratifiedTrainValidationSplit, which come shuffled.
+  // Grow over the caller's shared index when provided (after validating
+  // it matches this fit), else over a private one, whatever the row order
+  // (see FitContext::workspace). use_feature_index = false keeps the
+  // per-node sorts as the identity tests' reference.
   const FeatureIndex* index = nullptr;
   std::optional<FeatureIndex> local_index;
   std::optional<IndexedSplitWorkspace> workspace;
-  if (params_.use_feature_index && StrictlyAscending(rows)) {
+  if (params_.use_feature_index) {
     if (params_.feature_index != nullptr) {
       if (params_.feature_index->num_rows() != dataset.num_rows() ||
           !params_.feature_index->Covers(features_)) {

@@ -33,14 +33,12 @@ struct RegressionTreeParams {
   size_t max_leaves = 0;
   // F-test stop: reject splits whose p-value exceeds this.
   double significance_level = 0.05;
-  // Search numeric splits over a pre-sorted FeatureIndex. Regression
-  // statistics are order-sensitive double sums, so the indexed path is
-  // additionally gated on the fit rows being strictly ascending (the only
-  // case where it provably matches the legacy accumulation order); other
-  // row sets silently use the legacy per-node-sort path. Those include
-  // the shuffled train rows of data::StratifiedTrainValidationSplit, so
-  // every core::Study regression-tree and M5 fit takes the legacy path.
-  // Trees are bit-identical either way.
+  // Search numeric splits over a pre-sorted FeatureIndex, for any fit-row
+  // order. Regression statistics are order-sensitive double sums; the
+  // index lists each node's rows in exactly the order the per-node sort
+  // accumulates them (see ml/feature_index.h), so trees are bit-identical
+  // either way. `false` selects the per-node-sort path, kept only as the
+  // reference the identity tests compare against.
   bool use_feature_index = true;
   // Optional shared pre-built index; see DecisionTreeParams::feature_index.
   const FeatureIndex* feature_index = nullptr;

@@ -1,10 +1,18 @@
 #include "core/study.h"
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/thresholds.h"
+#include "data/split.h"
+#include "eval/regression_metrics.h"
+#include "exec/executor.h"
+#include "ml/feature_index.h"
+#include "ml/m5_tree.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
@@ -150,6 +158,162 @@ TEST(CrashPronenessStudyTest, SweepWritesManifestWithConfiguredSeed) {
             .ok());
   }
 #endif
+}
+
+// The sweeps' reference: both tree param sets on the per-node sort.
+StudyConfig PerNodeSortConfig(StudyConfig config) {
+  config.tree_params.use_feature_index = false;
+  config.regression_params.use_feature_index = false;
+  return config;
+}
+
+void ExpectSameRows(const std::vector<ThresholdModelResult>& got,
+                    const std::vector<ThresholdModelResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    EXPECT_EQ(got[i].threshold, want[i].threshold);
+    EXPECT_EQ(got[i].non_crash_prone, want[i].non_crash_prone);
+    EXPECT_EQ(got[i].crash_prone, want[i].crash_prone);
+    EXPECT_EQ(got[i].r_squared, want[i].r_squared);
+    EXPECT_EQ(got[i].regression_leaves, want[i].regression_leaves);
+    EXPECT_EQ(got[i].negative_predictive_value,
+              want[i].negative_predictive_value);
+    EXPECT_EQ(got[i].positive_predictive_value,
+              want[i].positive_predictive_value);
+    EXPECT_EQ(got[i].misclassification_rate, want[i].misclassification_rate);
+    EXPECT_EQ(got[i].mcpv, want[i].mcpv);
+    EXPECT_EQ(got[i].kappa, want[i].kappa);
+    EXPECT_EQ(got[i].tree_leaves, want[i].tree_leaves);
+    EXPECT_EQ(got[i].gbt_mcpv, want[i].gbt_mcpv);
+    EXPECT_EQ(got[i].gbt_kappa, want[i].gbt_kappa);
+    EXPECT_EQ(got[i].gbt_auc, want[i].gbt_auc);
+    EXPECT_EQ(got[i].gbt_leaves, want[i].gbt_leaves);
+  }
+}
+
+void ExpectSameRows(const std::vector<SupportingModelResult>& got,
+                    const std::vector<SupportingModelResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    EXPECT_EQ(got[i].threshold, want[i].threshold);
+    EXPECT_EQ(got[i].logistic_mcpv, want[i].logistic_mcpv);
+    EXPECT_EQ(got[i].logistic_kappa, want[i].logistic_kappa);
+    EXPECT_EQ(got[i].neural_net_mcpv, want[i].neural_net_mcpv);
+    EXPECT_EQ(got[i].neural_net_kappa, want[i].neural_net_kappa);
+    EXPECT_EQ(got[i].m5_r_squared, want[i].m5_r_squared);
+  }
+}
+
+size_t FeatureIndexBuilds() {
+  return obs::MetricsRegistry::Global()
+      .GetHistogram("ml.feature_index.build_ms")
+      .count();
+}
+
+// Every tree of a sweep grows over one shared FeatureIndex on the
+// (shuffled) train rows; every field must equal the per-node-sort sweep's,
+// serially and on a 4-worker pool.
+TEST(CrashPronenessStudyTest, TreeSweepOverOneSharedIndexEqualsPerNodeSort) {
+  data::Dataset ds = SmallCrashOnlyDataset();
+  exec::ThreadPool pool(4);
+  for (exec::Executor* executor : {static_cast<exec::Executor*>(nullptr),
+                                   static_cast<exec::Executor*>(&pool)}) {
+    StudyConfig config = FastConfig();
+    config.executor = executor;
+    auto want = CrashPronenessStudy(PerNodeSortConfig(config)).RunTreeSweep(ds);
+    ASSERT_TRUE(want.ok());
+    const size_t builds_before = FeatureIndexBuilds();
+    auto got = CrashPronenessStudy(config).RunTreeSweep(ds);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(FeatureIndexBuilds(), builds_before + 1);
+    ExpectSameRows(*got, *want);
+  }
+}
+
+// The supporting sweep must also equal its per-node-sort twin, serially
+// and on a 4-worker pool. Its M5 trees use M5Tree's default params, not
+// the config's tree params, and grow over a private index; so their R^2
+// is also checked against M5 on the per-node sort, fitted here on the
+// sweep's split.
+TEST(CrashPronenessStudyTest, SupportingSweepEqualsPerNodeSort) {
+  data::Dataset ds = SmallCrashOnlyDataset();
+  StudyConfig config = FastConfig();
+  config.thresholds = {2, 8};
+  exec::ThreadPool pool(4);
+  std::vector<SupportingModelResult> serial;
+  for (exec::Executor* executor : {static_cast<exec::Executor*>(nullptr),
+                                   static_cast<exec::Executor*>(&pool)}) {
+    config.executor = executor;
+    auto want =
+        CrashPronenessStudy(PerNodeSortConfig(config)).RunSupportingSweep(ds);
+    ASSERT_TRUE(want.ok());
+    auto got = CrashPronenessStudy(config).RunSupportingSweep(ds);
+    ASSERT_TRUE(got.ok());
+    ExpectSameRows(*got, *want);
+    if (executor == nullptr) serial = *got;
+  }
+
+  std::vector<std::string> features;
+  for (const std::string& name : roadgen::RoadAttributeColumns()) {
+    if (ds.HasColumn(name)) features.push_back(name);
+  }
+  for (size_t i = 0; i < config.thresholds.size(); ++i) {
+    const std::string target = ThresholdTargetName(config.thresholds[i]);
+    util::Rng split_rng(util::Rng::SplitSeed(config.seed ^ 0xabcdefULL, i));
+    auto split = data::StratifiedTrainValidationSplit(
+        ds, target, config.train_fraction, split_rng);
+    ASSERT_TRUE(split.ok());
+    ml::M5TreeParams params;
+    params.tree.use_feature_index = false;
+    ml::M5Tree m5(params);
+    ASSERT_TRUE(m5.Fit(ds, target, features, split->train).ok());
+    auto labels = ml::ExtractNumericTarget(ds, target);
+    ASSERT_TRUE(labels.ok());
+    std::vector<double> actuals;
+    for (size_t r : split->validation) actuals.push_back((*labels)[r]);
+    auto predictions = m5.PredictBatch(ds, split->validation);
+    ASSERT_TRUE(predictions.ok());
+    auto r2 = eval::RSquared(*predictions, actuals);
+    ASSERT_TRUE(r2.ok());
+    EXPECT_EQ(serial[i].m5_r_squared, *r2) << target;
+  }
+}
+
+// An index the caller put in either param set is used as given: the sweep
+// builds none, and a stale one (another dataset's) fails the sweep.
+TEST(CrashPronenessStudyTest, TreeSweepUsesCallerProvidedIndex) {
+  data::Dataset ds = SmallCrashOnlyDataset();
+  std::vector<std::string> features;
+  for (const std::string& name : roadgen::RoadAttributeColumns()) {
+    if (ds.HasColumn(name)) features.push_back(name);
+  }
+  auto index = ml::FeatureIndex::Build(ds, features);
+  ASSERT_TRUE(index.ok());
+  StudyConfig config = FastConfig();
+  auto want = CrashPronenessStudy(config).RunTreeSweep(ds);
+  ASSERT_TRUE(want.ok());
+
+  config.tree_params.feature_index = &*index;
+  config.regression_params.feature_index = &*index;
+  const size_t builds_before = FeatureIndexBuilds();
+  auto got = CrashPronenessStudy(config).RunTreeSweep(ds);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(FeatureIndexBuilds(), builds_before);
+  ExpectSameRows(*got, *want);
+
+  data::Dataset other;
+  ASSERT_TRUE(other.AddColumn(data::Column::Numeric("f60", {0.3, 0.5})).ok());
+  auto stale = ml::FeatureIndex::Build(other, {"f60"});
+  ASSERT_TRUE(stale.ok());
+  for (int which = 0; which < 2; ++which) {
+    StudyConfig stale_config = FastConfig();
+    if (which == 0) stale_config.tree_params.feature_index = &*stale;
+    if (which == 1) stale_config.regression_params.feature_index = &*stale;
+    EXPECT_FALSE(CrashPronenessStudy(stale_config).RunTreeSweep(ds).ok())
+        << which;
+  }
 }
 
 TEST(SelectBestThresholdTest, PicksPeakMcpv) {

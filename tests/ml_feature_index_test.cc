@@ -2,14 +2,16 @@
 // indexed split search must choose exactly the splits the legacy
 // per-node-sort path chooses — same features, same thresholds, same
 // routing — on randomized roadgen datasets, including missing-value and
-// constant-column cases. Serialized trees print thresholds with %.17g, so
-// string equality below is bit identity.
+// constant-column cases, for any fit-row order (shuffled and bootstrap
+// rows included). Serialized trees print doubles with %.17g, so string
+// equality of Serialize() output is bit identity.
 #include "ml/feature_index.h"
 
 #include <cmath>
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +20,9 @@
 #include "exec/executor.h"
 #include "ml/bagging.h"
 #include "ml/decision_tree.h"
+#include "ml/m5_tree.h"
 #include "ml/regression_tree.h"
+#include "obs/metrics.h"
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
 #include "util/rng.h"
@@ -115,9 +119,11 @@ TEST(FeatureIndexBuildTest, SortedOrderMissingSegregationAndConstants) {
 
   const FeatureIndex::NumericColumn* x = index->Numeric(0);
   ASSERT_NE(x, nullptr);
-  // Present rows by value, ties in ascending row order.
-  EXPECT_EQ(x->sorted_rows, (std::vector<uint32_t>{2, 5, 0, 3, 6}));
-  EXPECT_EQ(x->missing_rows, (std::vector<uint32_t>{1, 4}));
+  // Dense value ranks per row (equal values share one); missing flagged.
+  constexpr uint32_t kMissing = FeatureIndex::kMissingRank;
+  EXPECT_EQ(x->rank,
+            (std::vector<uint32_t>{2, kMissing, 0, 2, kMissing, 1, 2}));
+  EXPECT_EQ(x->distinct, 3u);
   EXPECT_FALSE(x->constant);
 
   const FeatureIndex::CategoricalColumn* c = index->Categorical(1);
@@ -161,9 +167,9 @@ TEST(FeatureIndexBuildTest, AllMissingAndSingleLevelColumnsAreConstant) {
   };
   EXPECT_TRUE(index->Numeric(col("const_num"))->constant);
   EXPECT_TRUE(index->Numeric(col("all_missing"))->constant);
-  EXPECT_TRUE(index->Numeric(col("all_missing"))->sorted_rows.empty());
-  EXPECT_EQ(index->Numeric(col("all_missing"))->missing_rows.size(),
-            ds.num_rows());
+  EXPECT_EQ(index->Numeric(col("all_missing"))->distinct, 0u);
+  EXPECT_EQ(index->Numeric(col("all_missing"))->rank,
+            std::vector<uint32_t>(ds.num_rows(), FeatureIndex::kMissingRank));
   EXPECT_TRUE(index->Categorical(col("one_level"))->constant);
   EXPECT_FALSE(index->Numeric(col("gappy"))->constant);
 }
@@ -181,8 +187,8 @@ TEST(FeatureIndexBuildTest, ParallelBuildIsIdenticalToSerial) {
     const auto* pn = parallel->Numeric(c);
     ASSERT_EQ(sn == nullptr, pn == nullptr);
     if (sn != nullptr) {
-      EXPECT_EQ(sn->sorted_rows, pn->sorted_rows);
-      EXPECT_EQ(sn->missing_rows, pn->missing_rows);
+      EXPECT_EQ(sn->rank, pn->rank);
+      EXPECT_EQ(sn->distinct, pn->distinct);
       EXPECT_EQ(sn->constant, pn->constant);
     }
     const auto* sc = serial->Categorical(c);
@@ -193,6 +199,54 @@ TEST(FeatureIndexBuildTest, ParallelBuildIsIdenticalToSerial) {
       EXPECT_EQ(sc->bucket_begin, pc->bucket_begin);
       EXPECT_EQ(sc->missing_rows, pc->missing_rows);
     }
+  }
+}
+
+// --- IndexedSplitWorkspace order -----------------------------------------
+
+// The legacy path stable-sorts each node's gathered rows by value, so ties
+// keep their position in the fit's rows and missing rows keep fit order;
+// the workspace must list rows in exactly that order, not by row id.
+TEST(IndexedSplitWorkspaceTest, TiesFollowFitPositionAndMissingRowsFitOrder) {
+  data::Dataset ds;
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric(
+                               "x", {2.0, kNaN, 1.0, 2.0, kNaN, 2.0, 1.0}))
+                  .ok());
+  auto index = FeatureIndex::Build(ds, {"x"});
+  ASSERT_TRUE(index.ok());
+  const std::vector<FeatureRef> features = {
+      {0, data::ColumnType::kNumeric, "x"}};
+  // Shuffled; row 3 is listed twice (positions 2 and 6); missing row 4
+  // comes before missing row 1.
+  const std::vector<size_t> rows = {5, 4, 3, 0, 1, 6, 3, 2};
+  auto listed = [](const uint32_t* begin, size_t count) {
+    return std::vector<uint32_t>(begin, begin + count);
+  };
+
+  exec::ThreadPool pool(4);
+  for (exec::Executor* executor : {static_cast<exec::Executor*>(nullptr),
+                                   static_cast<exec::Executor*>(&pool)}) {
+    IndexedSplitWorkspace workspace(*index, ds, features, rows, executor);
+    const IndexedSplitWorkspace::NumericView root = workspace.NodeNumeric(0, 0);
+    EXPECT_EQ(listed(root.rows, root.count),
+              (std::vector<uint32_t>{6, 2, 5, 3, 0, 3}));
+    EXPECT_EQ(std::vector<double>(root.values, root.values + root.count),
+              (std::vector<double>{1.0, 1.0, 2.0, 2.0, 2.0, 2.0}));
+    EXPECT_EQ(listed(root.missing_rows, root.missing_count),
+              (std::vector<uint32_t>{4, 1}));
+
+    // Splitting keeps that order inside each child.
+    workspace.SplitNode(0, 1, 2, [](uint32_t r) { return r != 3 && r != 4; });
+    const IndexedSplitWorkspace::NumericView left = workspace.NodeNumeric(1, 0);
+    const IndexedSplitWorkspace::NumericView right =
+        workspace.NodeNumeric(2, 0);
+    EXPECT_EQ(listed(left.rows, left.count),
+              (std::vector<uint32_t>{6, 2, 5, 0}));
+    EXPECT_EQ(listed(left.missing_rows, left.missing_count),
+              (std::vector<uint32_t>{1}));
+    EXPECT_EQ(listed(right.rows, right.count), (std::vector<uint32_t>{3, 3}));
+    EXPECT_EQ(listed(right.missing_rows, right.missing_count),
+              (std::vector<uint32_t>{4}));
   }
 }
 
@@ -316,7 +370,7 @@ TEST(RegressionBitIdentityTest, IndexedEqualsLegacyOnAscendingRows) {
   }
 }
 
-TEST(RegressionBitIdentityTest, NonAscendingRowsFallBackBitIdentically) {
+TEST(RegressionBitIdentityTest, NonAscendingRowsGrowOverTheIndexBitIdentically) {
   data::Dataset ds = AugmentedRoadgenDataset(400, 31);
   const std::vector<std::string> features = AugmentedFeatures();
   std::vector<size_t> rows = ds.AllRowIndices();
@@ -332,14 +386,115 @@ TEST(RegressionBitIdentityTest, NonAscendingRowsFallBackBitIdentically) {
   RegressionTree legacy(params);
   ASSERT_TRUE(legacy.Fit(ds, roadgen::kSegmentCrashCountColumn, features, rows)
                   .ok());
-  // Shuffled rows take the silent legacy fallback even when the index is
-  // requested; the result must not change.
+  // Shuffled rows grow over a private index (one FeatureIndex build); the
+  // result must not change.
+  obs::LatencyHistogram& builds =
+      obs::MetricsRegistry::Global().GetHistogram("ml.feature_index.build_ms");
+  const size_t builds_before = builds.count();
   params.use_feature_index = true;
-  RegressionTree fallback(params);
+  RegressionTree indexed(params);
   ASSERT_TRUE(
-      fallback.Fit(ds, roadgen::kSegmentCrashCountColumn, features, rows)
+      indexed.Fit(ds, roadgen::kSegmentCrashCountColumn, features, rows)
           .ok());
-  EXPECT_EQ(fallback.ToString(), legacy.ToString());
+  EXPECT_EQ(builds.count(), builds_before + 1);
+  EXPECT_EQ(indexed.ToString(), legacy.ToString());
+}
+
+// Roadgen data plus the columns that expose accumulation-order bugs,
+// which integer targets hide because their sums are exact in any order:
+//   * y_real: a real-valued target (crash count, level effect and uniform
+//     noise), whose running sums round differently in different orders;
+//   * levels: a five-value numeric feature with NaNs (many ties, many
+//     missing rows);
+//   * levels_mirror: -levels, which induces the same partitions scanned
+//     from the other end, so its gains tie with levels' up to rounding.
+data::Dataset OrderSensitiveDataset(size_t segments, uint64_t seed) {
+  data::Dataset ds = AugmentedRoadgenDataset(segments, seed);
+  const data::Column& count =
+      *ds.ColumnByName(roadgen::kSegmentCrashCountColumn).value();
+  util::Rng rng(seed * 7 + 3);
+  std::vector<double> target, levels, mirror;
+  for (size_t r = 0; r < ds.num_rows(); ++r) {
+    const double level = rng.Bernoulli(0.15)
+                             ? kNaN
+                             : static_cast<double>(rng.UniformInt(0, 4));
+    levels.push_back(level);
+    mirror.push_back(-level);
+    target.push_back(0.5 * count.NumericAt(r) +
+                     (std::isnan(level) ? 1.3 : 0.4 * level) +
+                     rng.Uniform(0.0, 1.0));
+  }
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("y_real", target)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("levels", levels)).ok());
+  EXPECT_TRUE(
+      ds.AddColumn(data::Column::Numeric("levels_mirror", mirror)).ok());
+  return ds;
+}
+
+std::vector<std::string> OrderSensitiveFeatures() {
+  std::vector<std::string> features = AugmentedFeatures();
+  features.push_back("levels");
+  features.push_back("levels_mirror");
+  return features;
+}
+
+// Serialized (%.17g) regression tree and M5 tree fitted on `rows`.
+std::pair<std::string, std::string> FitRegressionSerialized(
+    const data::Dataset& ds, const std::vector<size_t>& rows,
+    bool use_feature_index, exec::Executor* executor) {
+  RegressionTreeParams params;
+  params.min_samples_leaf = 10;
+  params.min_samples_split = 20;
+  params.max_leaves = 32;
+  params.use_feature_index = use_feature_index;
+  params.executor = executor;
+  const std::vector<std::string> features = OrderSensitiveFeatures();
+  RegressionTree tree(params);
+  EXPECT_TRUE(tree.Fit(ds, "y_real", features, rows).ok());
+  M5Tree m5(M5TreeParams{.tree = params});
+  EXPECT_TRUE(m5.Fit(ds, "y_real", features, rows).ok());
+  return {tree.Serialize(), m5.Serialize()};
+}
+
+// Indexed vs legacy on one row list, serially and on 4 threads.
+void ExpectIndexedEqualsLegacy(const data::Dataset& ds,
+                               const std::vector<size_t>& rows) {
+  const auto legacy = FitRegressionSerialized(ds, rows, false, nullptr);
+  EXPECT_GT(legacy.first.size(), 0u);
+  const auto serial = FitRegressionSerialized(ds, rows, true, nullptr);
+  EXPECT_EQ(serial.first, legacy.first);
+  EXPECT_EQ(serial.second, legacy.second);
+  exec::ThreadPool pool(4);
+  const auto parallel = FitRegressionSerialized(ds, rows, true, &pool);
+  EXPECT_EQ(parallel.first, legacy.first);
+  EXPECT_EQ(parallel.second, legacy.second);
+}
+
+TEST(RegressionBitIdentityTest, IndexedEqualsLegacyOnShuffledRows) {
+  for (uint64_t seed : {7u, 19u}) {
+    // Over 4,096 rows, so the 4-thread fit also scans the root in parallel.
+    data::Dataset ds = OrderSensitiveDataset(6000, seed);
+    ASSERT_GE(ds.num_rows(), 4096u);
+    std::vector<size_t> rows = ds.AllRowIndices();
+    util::Rng rng(seed + 1);
+    rng.Shuffle(rows);
+    ExpectIndexedEqualsLegacy(ds, rows);
+  }
+}
+
+TEST(RegressionBitIdentityTest, IndexedEqualsLegacyOnBootstrapRows) {
+  for (uint64_t seed : {7u, 19u}) {
+    data::Dataset ds = OrderSensitiveDataset(6000, seed + 50);
+    // Bootstrap multiset: duplicates, shuffled, some rows absent.
+    util::Rng rng(seed * 13 + 1);
+    std::vector<size_t> rows;
+    rows.reserve(ds.num_rows());
+    for (size_t i = 0; i < ds.num_rows(); ++i) {
+      rows.push_back(static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(ds.num_rows()) - 1)));
+    }
+    ExpectIndexedEqualsLegacy(ds, rows);
+  }
 }
 
 TEST(StrictlyAscendingTest, DetectsOrderAndDuplicates) {
