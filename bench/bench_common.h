@@ -203,6 +203,13 @@ class BenchContext {
   bool finished_ = false;
 };
 
+// Makes a timed expression's result observable, so the compiler cannot
+// drop the work that produced it from a timing loop.
+template <typename T>
+inline void Sink(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
+
 inline void PrintHeader(const std::string& title) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());

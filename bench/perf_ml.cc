@@ -3,17 +3,13 @@
 // performance (not reproduction) benches; they guard against regressions
 // in the hot paths the table/figure benches depend on.
 //
-// Two modes:
-//   perf_ml                      google-benchmark microbenchmarks
-//   perf_ml [--smoke] <dir>      one instrumented pass over every stage;
-//                                writes BENCH_perf_ml.json (per-stage
-//                                timings + model metrics) and
-//                                trace_perf_ml.jsonl into <dir>, then
-//                                re-reads and validates the JSON.
+//   perf_ml [--smoke] [--threads=N] <dir>
+//
+// One instrumented pass over every stage: writes BENCH_perf_ml.json
+// (per-stage timings + model metrics) and trace_perf_ml.jsonl into <dir>,
+// then re-reads and validates the JSON.
 // --smoke shrinks the dataset so the pass finishes in well under a
 // second; the bench_smoke CTest target runs exactly that.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -51,187 +47,6 @@
 namespace {
 
 using namespace roadmine;
-
-// One shared mid-size dataset for the model benches.
-const data::Dataset& BenchDataset() {
-  static const data::Dataset& dataset = *[] {
-    roadgen::GeneratorConfig config;
-    config.num_segments = 6000;
-    config.seed = 99;
-    roadgen::RoadNetworkGenerator gen(config);
-    auto segments = gen.Generate();
-    auto ds = roadgen::BuildCrashOnlyDataset(*segments,
-                                             gen.SimulateCrashRecords(*segments));
-    auto* owned = new data::Dataset(std::move(*ds));
-    // Infallible here: the freshly built dataset always carries the crash-count column.
-    (void)core::AddCrashProneTarget(*owned, roadgen::kSegmentCrashCountColumn,
-                                    8);
-    return owned;
-  }();
-  return dataset;
-}
-
-void BM_GeneratorThroughput(benchmark::State& state) {
-  roadgen::GeneratorConfig config;
-  config.num_segments = static_cast<size_t>(state.range(0));
-  roadgen::RoadNetworkGenerator gen(config);
-  for (auto _ : state) {
-    auto segments = gen.Generate();
-    benchmark::DoNotOptimize(segments);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GeneratorThroughput)->Arg(1000)->Arg(10000);
-
-void BM_DecisionTreeFit(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  ml::DecisionTreeParams params{.min_samples_leaf = 30,
-                                .max_leaves = static_cast<size_t>(
-                                    state.range(0))};
-  for (auto _ : state) {
-    ml::DecisionTreeClassifier tree(params);
-    auto status = tree.Fit(ds, "crash_prone_gt8",
-                           roadgen::RoadAttributeColumns(),
-                           ds.AllRowIndices());
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_DecisionTreeFit)->Arg(16)->Arg(64);
-
-void BM_DecisionTreePredict(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  ml::DecisionTreeClassifier tree{
-      ml::DecisionTreeParams{.min_samples_leaf = 30, .max_leaves = 64}};
-  // Setup-only fit on the shared fixture; the timed loop below would read zeros if it failed.
-  (void)tree.Fit(ds, "crash_prone_gt8", roadgen::RoadAttributeColumns(),
-                 ds.AllRowIndices());
-  size_t row = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.PredictProba(ds, row));
-    row = (row + 1) % ds.num_rows();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DecisionTreePredict);
-
-void BM_HistogramDecisionTreeFit(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  ml::DecisionTreeParams params{.min_samples_leaf = 30,
-                                .max_leaves = static_cast<size_t>(
-                                    state.range(0))};
-  params.use_histogram = true;
-  for (auto _ : state) {
-    ml::DecisionTreeClassifier tree(params);
-    auto status = tree.Fit(ds, "crash_prone_gt8",
-                           roadgen::RoadAttributeColumns(),
-                           ds.AllRowIndices());
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_HistogramDecisionTreeFit)->Arg(16)->Arg(64);
-
-void BM_GradientBoostedTreesFit(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  ml::GradientBoostedTreesParams params;
-  params.num_trees = static_cast<size_t>(state.range(0));
-  params.max_depth = 4;
-  for (auto _ : state) {
-    ml::GradientBoostedTrees model(params);
-    auto status = model.Fit(ds, "crash_prone_gt8",
-                            roadgen::RoadAttributeColumns(),
-                            ds.AllRowIndices());
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_GradientBoostedTreesFit)->Arg(10)->Arg(40);
-
-void BM_RegressionTreeFit(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  ml::RegressionTreeParams params{.min_samples_leaf = 30, .max_leaves = 64};
-  for (auto _ : state) {
-    ml::RegressionTree tree(params);
-    auto status =
-        tree.Fit(ds, roadgen::kSegmentCrashCountColumn,
-                 roadgen::RoadAttributeColumns(), ds.AllRowIndices());
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_RegressionTreeFit);
-
-void BM_NaiveBayesFit(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  for (auto _ : state) {
-    ml::NaiveBayesClassifier nb;
-    auto status = nb.Fit(ds, "crash_prone_gt8",
-                         roadgen::RoadAttributeColumns(), ds.AllRowIndices());
-    benchmark::DoNotOptimize(status);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_NaiveBayesFit);
-
-void BM_KMeansFit(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  ml::KMeansParams params;
-  params.k = static_cast<size_t>(state.range(0));
-  params.restarts = 1;
-  params.max_iterations = 25;
-  for (auto _ : state) {
-    ml::KMeans kmeans(params);
-    auto result =
-        kmeans.Fit(ds, roadgen::RoadAttributeColumns(), ds.AllRowIndices());
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_KMeansFit)->Arg(8)->Arg(32);
-
-void BM_EncoderTransform(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  data::FeatureEncoder encoder;
-  // Setup-only fit on the shared fixture; Transform below surfaces any failure.
-  (void)encoder.Fit(ds, roadgen::RoadAttributeColumns(), ds.AllRowIndices());
-  const std::vector<size_t> rows = ds.AllRowIndices();
-  for (auto _ : state) {
-    auto matrix = encoder.Transform(ds, rows);
-    benchmark::DoNotOptimize(matrix);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_EncoderTransform);
-
-void BM_RocAuc(benchmark::State& state) {
-  util::Rng rng(5);
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> scores(n);
-  std::vector<int> labels(n);
-  for (size_t i = 0; i < n; ++i) {
-    scores[i] = rng.Uniform();
-    labels[i] = rng.Bernoulli(0.3) ? 1 : 0;
-  }
-  for (auto _ : state) {
-    auto auc = eval::RocAuc(scores, labels);
-    benchmark::DoNotOptimize(auc);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RocAuc)->Arg(1000)->Arg(100000);
-
-void BM_StratifiedSplit(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  for (auto _ : state) {
-    util::Rng rng(17);
-    auto split =
-        data::StratifiedTrainValidationSplit(ds, "crash_prone_gt8", 0.67, rng);
-    benchmark::DoNotOptimize(split);
-  }
-  state.SetItemsProcessed(state.iterations() * ds.num_rows());
-}
-BENCHMARK(BM_StratifiedSplit);
 
 // ---------------------------------------------------------------------------
 // Instrumented single-pass mode.
@@ -758,9 +573,6 @@ int RunInstrumentedMode(const std::string& dir, bool smoke, int argc,
 
 }  // namespace
 
-// With an output-directory argument the bench runs the instrumented
-// single pass; otherwise it defers to google-benchmark (all its flags
-// work as usual).
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string dir;
@@ -771,14 +583,11 @@ int main(int argc, char** argv) {
       dir = argv[i];
     }
   }
-  if (!dir.empty()) {
-    // BenchContext skips flag arguments itself, so "--smoke dir",
-    // "dir --smoke" and "--threads=4 dir" all behave alike.
-    return RunInstrumentedMode(dir, smoke, argc, argv);
+  if (dir.empty()) {
+    std::fprintf(stderr, "usage: perf_ml [--smoke] [--threads=N] <dir>\n");
+    return 2;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  // BenchContext skips flag arguments itself, so "--smoke dir",
+  // "dir --smoke" and "--threads=4 dir" all behave alike.
+  return RunInstrumentedMode(dir, smoke, argc, argv);
 }

@@ -2,18 +2,13 @@
 // throughput, and the flat-vs-pointer speedup that justifies compiling
 // models (serve::FlatModel) instead of scoring the training-side objects.
 //
-// Two modes:
-//   perf_serve                     google-benchmark microbenchmarks
 //   perf_serve [--smoke] [--threads=N] <dir>
-//                                  one instrumented pass; writes
-//                                  BENCH_perf_serve.json (latency,
-//                                  throughput, speedup) into <dir>, then
-//                                  re-reads and validates the JSON.
-// The instrumented pass aborts if the compiled model's predictions ever
+//
+// One instrumented pass: writes BENCH_perf_serve.json (latency,
+// throughput, speedup) into <dir>, then re-reads and validates the JSON.
+// The pass aborts if the compiled model's predictions ever
 // diverge from the source ensemble, or if the threaded scoring service
 // diverges from serial — perf that costs correctness fails loudly.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -71,78 +66,6 @@ ml::BaggedTreesParams ServeEnsembleParams(size_t num_trees) {
   params.tree.max_leaves = 512;
   return params;
 }
-
-const data::Dataset& BenchDataset() {
-  static const data::Dataset& dataset =
-      *new data::Dataset(MakeServeDataset(6000, 77));
-  return dataset;
-}
-
-const ml::BaggedTreesClassifier& BenchEnsemble() {
-  static const ml::BaggedTreesClassifier& model = *[] {
-    auto* owned = new ml::BaggedTreesClassifier(ServeEnsembleParams(16));
-    // Setup-only fit on the shared fixture; compile/serve below surfaces any failure.
-    (void)owned->Fit(BenchDataset(), kTarget,
-                     roadgen::RoadAttributeColumns(),
-                     BenchDataset().AllRowIndices());
-    return owned;
-  }();
-  return model;
-}
-
-const serve::FlatModel& BenchFlat() {
-  static const serve::FlatModel& model =
-      *new serve::FlatModel(*serve::CompileModel(BenchEnsemble()));
-  return model;
-}
-
-void BM_PointerBatch(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  const ml::BaggedTreesClassifier& model = BenchEnsemble();
-  const std::vector<size_t> rows = ds.AllRowIndices();
-  for (auto _ : state) {
-    auto scores = model.PredictBatch(ds, rows);
-    benchmark::DoNotOptimize(scores);
-  }
-  state.SetItemsProcessed(state.iterations() * rows.size());
-}
-BENCHMARK(BM_PointerBatch);
-
-void BM_FlatBatch(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  const serve::FlatModel& model = BenchFlat();
-  const std::vector<size_t> rows = ds.AllRowIndices();
-  for (auto _ : state) {
-    auto scores = model.PredictBatch(ds, rows);
-    benchmark::DoNotOptimize(scores);
-  }
-  state.SetItemsProcessed(state.iterations() * rows.size());
-}
-BENCHMARK(BM_FlatBatch);
-
-void BM_PointerSingleRow(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  const ml::BaggedTreesClassifier& model = BenchEnsemble();
-  size_t row = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.PredictProba(ds, row));
-    row = (row + 1) % ds.num_rows();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PointerSingleRow);
-
-void BM_FlatSingleRow(benchmark::State& state) {
-  const data::Dataset& ds = BenchDataset();
-  const serve::FlatModel& model = BenchFlat();
-  size_t row = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.PredictRow(ds, row));
-    row = (row + 1) % ds.num_rows();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlatSingleRow);
 
 // ---------------------------------------------------------------------------
 // Instrumented single-pass mode.
@@ -222,10 +145,10 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, bool smoke) {
 
   // Batch throughput: the serving hot path.
   const double pointer_batch_ms = BestOfMs(reps, [&] {
-    benchmark::DoNotOptimize(ensemble.PredictBatch(ds, all_rows));
+    bench::Sink(ensemble.PredictBatch(ds, all_rows));
   });
   const double flat_batch_ms = BestOfMs(reps, [&] {
-    benchmark::DoNotOptimize(flat.PredictBatch(ds, all_rows));
+    bench::Sink(flat.PredictBatch(ds, all_rows));
   });
   ctx.report().RecordTimingMs("pointer_batch", pointer_batch_ms);
   ctx.report().RecordTimingMs("flat_batch", flat_batch_ms);
@@ -241,12 +164,12 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, bool smoke) {
   const size_t latency_rows = std::min<size_t>(ds.num_rows(), 2000);
   const double pointer_single_ms = BestOfMs(reps, [&] {
     for (size_t r = 0; r < latency_rows; ++r) {
-      benchmark::DoNotOptimize(ensemble.PredictProba(ds, r));
+      bench::Sink(ensemble.PredictProba(ds, r));
     }
   });
   const double flat_single_ms = BestOfMs(reps, [&] {
     for (size_t r = 0; r < latency_rows; ++r) {
-      benchmark::DoNotOptimize(flat.PredictRow(ds, r));
+      bench::Sink(flat.PredictRow(ds, r));
     }
   });
   ctx.report().RecordMetric(
@@ -362,8 +285,6 @@ int RunInstrumentedMode(const std::string& dir, bool smoke, int argc,
 
 }  // namespace
 
-// With an output-directory argument the bench runs the instrumented
-// single pass; otherwise it defers to google-benchmark.
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string dir;
@@ -374,12 +295,10 @@ int main(int argc, char** argv) {
       dir = argv[i];
     }
   }
-  if (!dir.empty()) {
-    return RunInstrumentedMode(dir, smoke, argc, argv);
+  if (dir.empty()) {
+    std::fprintf(stderr,
+                 "usage: perf_serve [--smoke] [--threads=N] <dir>\n");
+    return 2;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return RunInstrumentedMode(dir, smoke, argc, argv);
 }

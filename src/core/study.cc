@@ -19,6 +19,7 @@
 #include "ml/common.h"
 #include "ml/feature_index.h"
 #include "ml/m5_tree.h"
+#include "ml/tree_growth.h"
 #include "roadgen/dataset_builder.h"
 
 namespace roadmine::core {
@@ -74,10 +75,12 @@ Result<std::vector<ThresholdModelResult>> CrashPronenessStudy::RunTreeSweep(
   // used as given.
   ml::RegressionTreeParams regression_params = config_.regression_params;
   ml::DecisionTreeParams tree_params = config_.tree_params;
-  const bool regression_shares = regression_params.use_feature_index &&
-                                 regression_params.feature_index == nullptr;
-  const bool tree_shares = tree_params.use_feature_index &&
-                           !tree_params.use_histogram &&
+  const bool regression_shares =
+      ml::ReadsFeatureIndex(regression_params.use_feature_index,
+                            /*use_histogram=*/false) &&
+      regression_params.feature_index == nullptr;
+  const bool tree_shares = ml::ReadsFeatureIndex(tree_params.use_feature_index,
+                                                 tree_params.use_histogram) &&
                            tree_params.feature_index == nullptr;
   std::optional<ml::FeatureIndex> sweep_index;
   if (regression_shares || tree_shares) {

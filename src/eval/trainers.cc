@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "ml/feature_index.h"
+#include "ml/tree_growth.h"
 
 namespace roadmine::eval {
 
@@ -44,17 +45,15 @@ class SharedIndexState {
   std::shared_ptr<const ml::FeatureIndex> index_;
 };
 
-// Only the tree-based classifiers read a FeatureIndex.
+// Only the tree-based classifiers read a FeatureIndex, and only when
+// ml::ReadsFeatureIndex says their fit does.
 bool SpecUsesFeatureIndex(const ml::ClassifierSpec& spec) {
-  if (spec.name == "decision_tree") {
-    return spec.decision_tree.use_feature_index &&
-           spec.decision_tree.feature_index == nullptr;
-  }
-  if (spec.name == "bagged_trees") {
-    return spec.bagged_trees.tree.use_feature_index &&
-           spec.bagged_trees.tree.feature_index == nullptr;
-  }
-  return false;
+  const ml::DecisionTreeParams* tree = nullptr;
+  if (spec.name == "decision_tree") tree = &spec.decision_tree;
+  if (spec.name == "bagged_trees") tree = &spec.bagged_trees.tree;
+  return tree != nullptr &&
+         ml::ReadsFeatureIndex(tree->use_feature_index, tree->use_histogram) &&
+         tree->feature_index == nullptr;
 }
 
 }  // namespace

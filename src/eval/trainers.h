@@ -22,9 +22,9 @@ namespace roadmine::eval {
 // through PredictBatch. Spec errors (unknown name) surface when the
 // trainer first runs.
 //
-// Tree specs ("decision_tree", "bagged_trees") that leave
-// use_feature_index on share one lazily-built ml::FeatureIndex across all
-// folds trained on the same dataset, instead of re-sorting the feature
+// Tree specs ("decision_tree", "bagged_trees") whose fits read an
+// ml::FeatureIndex (ml::ReadsFeatureIndex) share one lazily-built index
+// across all folds trained on the same dataset, instead of re-sorting the feature
 // columns per fold. The index is immutable and fold-independent, so this
 // preserves the CV determinism contract and changes no results.
 BinaryTrainer ClassifierTrainer(ml::ClassifierSpec spec, std::string target,

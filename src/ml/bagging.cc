@@ -7,6 +7,7 @@
 #include "exec/executor.h"
 #include "ml/feature_index.h"
 #include "ml/serialize.h"
+#include "ml/tree_growth.h"
 #include "util/string_util.h"
 
 namespace roadmine::ml {
@@ -38,13 +39,15 @@ Status BaggedTreesClassifier::Fit(const data::Dataset& dataset,
              params_.feature_fraction *
              static_cast<double>(feature_columns.size()))));
 
-  // One pre-sorted index serves every member: it depends only on the
-  // dataset's feature columns, not on any bootstrap, and members only read
-  // it. Feature-bagged members use a subset of the indexed columns, which
-  // the index covers by construction.
+  // One pre-sorted index serves every member that reads one: it depends
+  // only on the dataset's feature columns, not on any bootstrap, and
+  // members only read it. Feature-bagged members use a subset of the
+  // indexed columns, which the index covers by construction.
   DecisionTreeParams tree_params = params_.tree;
   std::optional<FeatureIndex> ensemble_index;
-  if (tree_params.use_feature_index && tree_params.feature_index == nullptr) {
+  if (ReadsFeatureIndex(tree_params.use_feature_index,
+                        tree_params.use_histogram) &&
+      tree_params.feature_index == nullptr) {
     auto built =
         FeatureIndex::Build(dataset, feature_columns, params_.executor);
     if (!built.ok()) return built.status();

@@ -21,6 +21,7 @@
 #include "data/dataset.h"
 #include "ml/common.h"
 #include "ml/predictor.h"
+#include "ml/tree_growth.h"
 #include "util/status.h"
 
 namespace roadmine::exec {
@@ -56,15 +57,17 @@ struct DecisionTreeParams {
   // CHAID-style Bonferroni adjustment: multiply the best split's p-value by
   // the number of candidate features before the significance check.
   bool bonferroni_adjust = true;
-  // Search numeric splits over a pre-sorted FeatureIndex (ml/feature_index.h)
-  // instead of re-sorting each node's rows per attribute. The produced tree
-  // is bit-identical either way; this only changes the work done to find it.
-  // The legacy per-node-sort path (false) is kept for A/B benching.
+  // Search numeric splits over a pre-sorted FeatureIndex, for any fit-row
+  // order. The index lists each node's rows in exactly the order the
+  // per-node sort visits them (see ml/feature_index.h), so trees are
+  // bit-identical either way. `false` selects the per-node-sort path,
+  // kept only as the reference the identity tests compare against. The
+  // histogram search replaces both (see ml::ReadsFeatureIndex).
   bool use_feature_index = true;
   // Optional pre-built index over the training dataset's feature columns,
   // shared across fits (ensemble members, CV folds, a study sweep). Not
-  // owned; only read during Fit. When null and use_feature_index is set,
-  // Fit builds a private index. Must cover the fit's features over the
+  // owned; only read during Fit. When null and the fit reads an index,
+  // Fit builds a private one. Must cover the fit's features over the
   // same dataset.
   const FeatureIndex* feature_index = nullptr;
   // Search numeric splits over quantile-binned histograms
@@ -152,35 +155,18 @@ class DecisionTreeClassifier : public Predictor {
   // Read-only flat view of one fitted node, exported for model compilers
   // (serve::FlatModel). leaf_value is the Laplace-smoothed positive
   // fraction — exactly what PredictProba returns at that leaf.
-  struct NodeView {
-    bool is_leaf = true;
-    size_t feature = 0;
-    double threshold = 0.0;
-    std::vector<uint8_t> left_categories;
-    bool missing_goes_left = true;
-    int left = -1;
-    int right = -1;
+  struct NodeView : TreeNode {
     double leaf_value = 0.0;
   };
   std::vector<NodeView> ExportNodes() const;
   const std::vector<FeatureRef>& features() const { return features_; }
 
  private:
-  struct Node {
-    bool is_leaf = true;
-    int depth = 0;
-    // Split definition (valid when !is_leaf):
-    size_t feature = 0;          // Index into features_.
-    double threshold = 0.0;      // Numeric: x <= threshold goes left.
-    std::vector<uint8_t> left_categories;  // Categorical: code k goes left
-                                           // iff left_categories[k] != 0.
+  struct Node : TreeNode {
     // Human-readable category sets captured at fit time so rules render
     // without access to the training dataset's dictionaries.
     std::string left_set_desc;
     std::string right_set_desc;
-    bool missing_goes_left = true;
-    int left = -1;
-    int right = -1;
     double split_gain = 0.0;  // Criterion score of the applied split.
     // Node statistics (training rows reaching this node):
     size_t count_negative = 0;
@@ -194,9 +180,10 @@ class DecisionTreeClassifier : public Predictor {
     }
   };
 
-  // Route one row from `node` one step down. Returns child index.
-  int Route(const Node& node, const data::Dataset& dataset, size_t row) const;
   int FindLeaf(const data::Dataset& dataset, size_t row) const;
+  // Ids of the nodes reachable from the root (pruning can orphan nodes),
+  // depth-first with each node's right subtree first.
+  std::vector<int> ReachableNodes() const;
 
   DecisionTreeParams params_;
   std::vector<FeatureRef> features_;

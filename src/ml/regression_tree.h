@@ -15,6 +15,7 @@
 #include "data/dataset.h"
 #include "ml/common.h"
 #include "ml/predictor.h"
+#include "ml/tree_growth.h"
 #include "util/status.h"
 
 namespace roadmine::exec {
@@ -95,14 +96,7 @@ class RegressionTree : public Predictor {
   // Read-only flat view of one fitted node for model compilers
   // (serve::FlatModel). `mean`/`count` are exported for every node, not
   // just leaves, because M5 smoothing walks ancestor statistics.
-  struct NodeView {
-    bool is_leaf = true;
-    size_t feature = 0;
-    double threshold = 0.0;
-    std::vector<uint8_t> left_categories;
-    bool missing_goes_left = true;
-    int left = -1;
-    int right = -1;
+  struct NodeView : TreeNode {
     size_t count = 0;
     double mean = 0.0;
   };
@@ -110,21 +104,11 @@ class RegressionTree : public Predictor {
   const std::vector<FeatureRef>& features() const { return features_; }
 
  private:
-  struct Node {
-    bool is_leaf = true;
-    int depth = 0;
-    size_t feature = 0;
-    double threshold = 0.0;
-    std::vector<uint8_t> left_categories;
-    bool missing_goes_left = true;
-    int left = -1;
-    int right = -1;
+  struct Node : TreeNode {
     size_t count = 0;
     double mean = 0.0;
     double sse = 0.0;  // Training sum of squared errors around `mean`.
   };
-
-  int Route(const Node& node, const data::Dataset& dataset, size_t row) const;
 
   RegressionTreeParams params_;
   std::vector<FeatureRef> features_;

@@ -89,6 +89,67 @@ bool ParseChild(const std::string& text, int* child) {
   return true;
 }
 
+void AppendTreeNodeFields(const TreeNode& node, std::string* out) {
+  *out += "node\t";
+  *out += std::to_string(node.is_leaf ? 1 : 0) + "\t";
+  *out += std::to_string(node.depth) + "\t";
+  *out += std::to_string(node.feature) + "\t";
+  *out += SerializeDouble(node.threshold) + "\t";
+  *out += std::to_string(node.missing_goes_left ? 1 : 0) + "\t";
+  *out += std::to_string(node.left) + "\t";
+  *out += std::to_string(node.right) + "\t";
+}
+
+void AppendCategoryMask(const std::vector<uint8_t>& mask, std::string* out) {
+  if (mask.empty()) *out += "-";
+  for (uint8_t bit : mask) *out += bit ? '1' : '0';
+}
+
+util::Status ParseTreeNodeFields(const std::vector<std::string>& parts,
+                                 size_t num_features, TreeNode* node) {
+  int64_t value = 0;
+  if (!util::ParseInt(parts[1], &value)) {
+    return InvalidArgumentError("bad is_leaf");
+  }
+  node->is_leaf = value != 0;
+  if (!util::ParseInt(parts[2], &value)) {
+    return InvalidArgumentError("bad depth");
+  }
+  node->depth = static_cast<int>(value);
+  if (!util::ParseInt(parts[3], &value) || value < 0) {
+    return InvalidArgumentError("bad feature index");
+  }
+  node->feature = static_cast<size_t>(value);
+  if (!node->is_leaf && node->feature >= num_features) {
+    return InvalidArgumentError("feature index out of range");
+  }
+  if (!util::ParseDouble(parts[4], &node->threshold)) {
+    return InvalidArgumentError("bad threshold");
+  }
+  if (!util::ParseInt(parts[5], &value)) {
+    return InvalidArgumentError("bad missing direction");
+  }
+  node->missing_goes_left = value != 0;
+  if (!ParseChild(parts[6], &node->left)) {
+    return InvalidArgumentError("bad left child");
+  }
+  if (!ParseChild(parts[7], &node->right)) {
+    return InvalidArgumentError("bad right child");
+  }
+  return util::Status::Ok();
+}
+
+util::Status ParseCategoryMask(const std::string& text,
+                               std::vector<uint8_t>* mask) {
+  if (text == "-") return util::Status::Ok();
+  mask->reserve(text.size());
+  for (char c : text) {
+    if (c != '0' && c != '1') return InvalidArgumentError("bad category mask");
+    mask->push_back(c == '1' ? 1 : 0);
+  }
+  return util::Status::Ok();
+}
+
 util::Result<int64_t> ParseCountLine(LineCursor& cursor,
                                      const std::string& keyword) {
   const std::string* line = cursor.Next();

@@ -19,7 +19,9 @@
 
 #include "data/dataset.h"
 #include "ml/common.h"
+#include "ml/tree_growth.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace roadmine::ml {
 
@@ -96,6 +98,52 @@ template <typename Node, typename IsLeaf>
     }
   }
   return util::Status::Ok();
+}
+
+// Appends the fields every tree node line starts with, each followed by a
+// tab: "node", is_leaf, depth, feature, threshold, missing direction, left
+// and right child.
+void AppendTreeNodeFields(const TreeNode& node, std::string* out);
+
+// Appends a categorical split's mask as a 0/1 string, or "-" when empty.
+void AppendCategoryMask(const std::vector<uint8_t>& mask, std::string* out);
+
+// Parses the fields AppendTreeNodeFields wrote, from a node line split on
+// tabs. An internal node's feature must be below `num_features`.
+[[nodiscard]] util::Status ParseTreeNodeFields(
+    const std::vector<std::string>& parts, size_t num_features,
+    TreeNode* node);
+
+// Parses a mask written by AppendCategoryMask.
+[[nodiscard]] util::Status ParseCategoryMask(const std::string& text,
+                                             std::vector<uint8_t>* mask);
+
+// Parses a tree's "nodes N" line and its N node lines of `num_fields`
+// tab-separated fields: those of AppendTreeNodeFields, then the learner's
+// own, which `parse_own(parts, &node)` reads. The links must form a tree.
+template <typename Node, typename ParseOwn>
+[[nodiscard]] util::Result<std::vector<Node>> ParseTreeNodes(
+    LineCursor& cursor, size_t num_fields, size_t num_features,
+    const ParseOwn& parse_own) {
+  auto node_count = ParseCountLine(cursor, "nodes");
+  if (!node_count.ok()) return node_count.status();
+  if (*node_count <= 0) return util::InvalidArgumentError("no nodes");
+  std::vector<Node> nodes;
+  for (int64_t i = 0; i < *node_count; ++i) {
+    const std::string* line = cursor.Next();
+    if (line == nullptr) return util::InvalidArgumentError("truncated nodes");
+    const std::vector<std::string> parts = util::Split(*line, '\t');
+    if (parts.size() != num_fields || parts[0] != "node") {
+      return util::InvalidArgumentError("bad node line: " + *line);
+    }
+    Node node;
+    ROADMINE_RETURN_IF_ERROR(ParseTreeNodeFields(parts, num_features, &node));
+    ROADMINE_RETURN_IF_ERROR(parse_own(parts, &node));
+    nodes.push_back(std::move(node));
+  }
+  ROADMINE_RETURN_IF_ERROR(
+      CheckTreeLinks(nodes, [](const Node& node) { return node.is_leaf; }));
+  return nodes;
 }
 
 }  // namespace roadmine::ml

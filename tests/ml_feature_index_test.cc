@@ -17,11 +17,14 @@
 #include <gtest/gtest.h>
 
 #include "core/thresholds.h"
+#include "eval/trainers.h"
 #include "exec/executor.h"
 #include "ml/bagging.h"
+#include "ml/classifier.h"
 #include "ml/decision_tree.h"
 #include "ml/m5_tree.h"
 #include "ml/regression_tree.h"
+#include "ml/tree_growth.h"
 #include "obs/metrics.h"
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
@@ -529,6 +532,63 @@ TEST(BaggingBitIdentityTest, IndexedEnsembleEqualsLegacy) {
   ASSERT_EQ(indexed_scores.size(), legacy_scores.size());
   for (size_t i = 0; i < legacy_scores.size(); ++i) {
     EXPECT_DOUBLE_EQ(indexed_scores[i], legacy_scores[i]);
+  }
+}
+
+// --- Which fits read an index ------------------------------------------
+
+size_t IndexBuilds() {
+  return obs::MetricsRegistry::Global()
+      .GetHistogram("ml.feature_index.build_ms")
+      .count();
+}
+
+TEST(ReadsFeatureIndexTest, OnlyTheIndexedExactSearchReadsOne) {
+  EXPECT_TRUE(ReadsFeatureIndex(/*use_feature_index=*/true,
+                                /*use_histogram=*/false));
+  EXPECT_FALSE(ReadsFeatureIndex(true, true));
+  EXPECT_FALSE(ReadsFeatureIndex(false, false));
+  EXPECT_FALSE(ReadsFeatureIndex(false, true));
+}
+
+// A histogram-mode ensemble shares no index: its members would not read
+// one. An exact-mode ensemble builds exactly one for all its members.
+TEST(ReadsFeatureIndexTest, HistogramBaggedFitBuildsNoIndex) {
+  data::Dataset ds = AugmentedRoadgenDataset(300, 61);
+  const std::vector<std::string> features = AugmentedFeatures();
+  BaggedTreesParams params;
+  params.num_trees = 3;
+  params.tree = BaseTreeParams();
+  params.tree.use_histogram = true;
+  size_t before = IndexBuilds();
+  ASSERT_TRUE(BaggedTreesClassifier(params)
+                  .Fit(ds, "crash_prone_gt8", features, ds.AllRowIndices())
+                  .ok());
+  EXPECT_EQ(IndexBuilds(), before);
+
+  params.tree.use_histogram = false;
+  before = IndexBuilds();
+  ASSERT_TRUE(BaggedTreesClassifier(params)
+                  .Fit(ds, "crash_prone_gt8", features, ds.AllRowIndices())
+                  .ok());
+  EXPECT_EQ(IndexBuilds(), before + 1);
+}
+
+// The same rule holds for a CV trainer's folds.
+TEST(ReadsFeatureIndexTest, HistogramCvFoldBuildsNoIndex) {
+  data::Dataset ds = AugmentedRoadgenDataset(300, 67);
+  const std::vector<std::string> features = AugmentedFeatures();
+  for (const char* name : {"decision_tree", "bagged_trees"}) {
+    SCOPED_TRACE(name);
+    ClassifierSpec spec = Spec(name);
+    spec.decision_tree.use_histogram = true;
+    spec.bagged_trees.num_trees = 3;
+    spec.bagged_trees.tree.use_histogram = true;
+    const eval::BinaryTrainer trainer =
+        eval::ClassifierTrainer(spec, "crash_prone_gt8", features);
+    const size_t before = IndexBuilds();
+    ASSERT_TRUE(trainer(ds, ds.AllRowIndices()).ok());
+    EXPECT_EQ(IndexBuilds(), before);
   }
 }
 

@@ -118,6 +118,39 @@ INSTANTIATE_TEST_SUITE_P(
                       "poisson_regression", "zero_inflated_poisson",
                       "kmeans"));
 
+// Reduced-error pruning reads its validation rows the same way: an empty
+// list or an id past the dataset is an InvalidArgumentError, and the tree
+// stays as fitted (an empty list used to collapse it to its root).
+class PruneRowsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(tree_.Fit(ds_, "y", {"x", "c"}, ds_.AllRowIndices()).ok());
+    ASSERT_GT(tree_.leaf_count(), 1u);
+    fitted_ = tree_.Serialize();
+  }
+
+  const data::Dataset ds_ = SmallDataset();
+  DecisionTreeClassifier tree_;
+  std::string fitted_;
+};
+
+TEST_F(PruneRowsTest, RejectsEmptyRowsAndKeepsTheTree) {
+  EXPECT_EQ(tree_.PruneReducedError(ds_, "y", {}).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree_.Serialize(), fitted_);
+}
+
+TEST_F(PruneRowsTest, RejectsRowPastTheEndAndKeepsTheTree) {
+  std::vector<size_t> rows = ds_.AllRowIndices();
+  rows.push_back(ds_.num_rows() + 100000);
+  EXPECT_EQ(tree_.PruneReducedError(ds_, "y", rows).code(),
+            util::StatusCode::kInvalidArgument);
+  rows.back() = ds_.num_rows();
+  EXPECT_EQ(tree_.PruneReducedError(ds_, "y", rows).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree_.Serialize(), fitted_);
+}
+
 TEST(CheckFitRowsTest, RejectsEmptyAndOutOfRangeIds) {
   EXPECT_TRUE(CheckFitRows({0, 4, 4, 2}, 5).ok());
   EXPECT_EQ(CheckFitRows({}, 5).code(), util::StatusCode::kInvalidArgument);
