@@ -1,13 +1,21 @@
 #include "ml/histogram_index.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/thresholds.h"
+#include "data/split.h"
 #include "exec/executor.h"
 #include "ml/decision_tree.h"
+#include "roadgen/dataset_builder.h"
+#include "roadgen/generator.h"
 #include "serve/flat_model.h"
 #include "util/rng.h"
 
@@ -246,6 +254,192 @@ TEST(HistogramIndexTest, SharedIndexMatchesPrivateBuild) {
   ASSERT_TRUE(shared_tree.Fit(ds, "y", {"x"}, ds.AllRowIndices()).ok());
   EXPECT_EQ(shared_tree.Serialize(), private_tree.Serialize());
 }
+
+// Absolute pins for the bins themselves: each case hashes every road
+// attribute's cuts, num_bins, constant flag and codes from one Build over
+// the 6,000-segment roadgen fixture (seed 2011, as in ml_tree_pinned_test),
+// serially and on a 4-thread pool.
+class Fnv1a {
+ public:
+  void Add(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void Add(const T& value) {
+    Add(&value, sizeof(value));
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+const data::Dataset& Network() {
+  static const data::Dataset& ds = *[] {
+    roadgen::GeneratorConfig config;
+    config.num_segments = 6000;
+    config.seed = 2011;
+    auto segments = roadgen::RoadNetworkGenerator(config).Generate();
+    EXPECT_TRUE(segments.ok());
+    auto built = roadgen::BuildSegmentDataset(*segments);
+    EXPECT_TRUE(built.ok());
+    EXPECT_TRUE(core::AddCrashProneTarget(
+                    *built, roadgen::kSegmentCrashCountColumn, /*threshold=*/4)
+                    .ok());
+    return new data::Dataset(*std::move(built));
+  }();
+  return ds;
+}
+
+std::vector<FeatureRef> NetworkFeatures() {
+  auto features =
+      ResolveFeatures(Network(), roadgen::RoadAttributeColumns(),
+                      core::ThresholdTargetName(4));
+  EXPECT_TRUE(features.ok());
+  return *features;
+}
+
+enum class PinRows {
+  kAll,
+  kStratifiedTrain,        // A 0.67 stratified train split on CP-4.
+  kShuffledWithDuplicate,  // Every row, shuffled, one listed twice.
+  kWithoutExtremes,        // Drops each numeric column's min and max row.
+};
+
+std::vector<size_t> BuildRows(PinRows which) {
+  const data::Dataset& ds = Network();
+  std::vector<size_t> rows = ds.AllRowIndices();
+  switch (which) {
+    case PinRows::kAll:
+      break;
+    case PinRows::kStratifiedTrain: {
+      util::Rng rng(5);
+      auto split = data::StratifiedTrainValidationSplit(
+          ds, core::ThresholdTargetName(4), 0.67, rng);
+      EXPECT_TRUE(split.ok());
+      rows = split->train;
+      break;
+    }
+    case PinRows::kShuffledWithDuplicate: {
+      util::Rng rng(77);
+      rng.Shuffle(rows);
+      rows.push_back(rows[rows.size() / 2]);
+      break;
+    }
+    case PinRows::kWithoutExtremes: {
+      // The first row holding each numeric column's minimum and the first
+      // holding its maximum leave the build set, so a column whose
+      // extreme is unique codes its dropped max row by clamping.
+      std::vector<uint8_t> dropped(ds.num_rows(), 0);
+      for (const FeatureRef& ref : NetworkFeatures()) {
+        if (ref.type != data::ColumnType::kNumeric) continue;
+        const data::Column& col = ds.column(ref.column_index);
+        size_t lo = ds.num_rows(), hi = ds.num_rows();
+        for (size_t r = 0; r < ds.num_rows(); ++r) {
+          const double v = col.NumericAt(r);
+          if (std::isnan(v)) continue;
+          if (lo == ds.num_rows() || v < col.NumericAt(lo)) lo = r;
+          if (hi == ds.num_rows() || v > col.NumericAt(hi)) hi = r;
+        }
+        if (lo < ds.num_rows()) dropped[lo] = 1;
+        if (hi < ds.num_rows()) dropped[hi] = 1;
+      }
+      rows.clear();
+      for (size_t r = 0; r < ds.num_rows(); ++r) {
+        if (!dropped[r]) rows.push_back(r);
+      }
+      break;
+    }
+  }
+  return rows;
+}
+
+struct BinPin {
+  PinRows rows;
+  size_t max_bins;
+  uint64_t hash;
+  const char* name;
+};
+
+void PrintTo(const BinPin& pin, std::ostream* os) { *os << pin.name; }
+
+uint64_t HashBins(const HistogramIndex& index,
+                  const std::vector<FeatureRef>& features) {
+  Fnv1a hash;
+  for (const FeatureRef& ref : features) {
+    const HistogramIndex::FeatureBins& bins = index.ColumnBins(ref.column_index);
+    hash.Add(bins.upper.size());
+    for (const double cut : bins.upper) {
+      uint64_t bits;
+      std::memcpy(&bits, &cut, sizeof(bits));
+      hash.Add(bits);
+    }
+    hash.Add(bins.num_bins);
+    hash.Add(static_cast<uint8_t>(bins.constant));
+    hash.Add(bins.codes.data(), bins.codes.size() * sizeof(uint16_t));
+  }
+  return hash.hash();
+}
+
+// Dataset rows whose value lies above their column's last cut: rows left
+// out of the build set, which code into the last bin by clamping.
+size_t RowsAboveLastCut(const HistogramIndex& index,
+                        const std::vector<FeatureRef>& features) {
+  size_t above = 0;
+  for (const FeatureRef& ref : features) {
+    const HistogramIndex::FeatureBins& bins = index.ColumnBins(ref.column_index);
+    if (!bins.is_numeric || bins.upper.empty()) continue;
+    const data::Column& col = Network().column(ref.column_index);
+    for (size_t r = 0; r < Network().num_rows(); ++r) {
+      above += col.NumericAt(r) > bins.upper.back();
+    }
+  }
+  return above;
+}
+
+class HistogramBinsPinnedTest : public ::testing::TestWithParam<BinPin> {};
+
+TEST_P(HistogramBinsPinnedTest, HashHoldsSeriallyAndOnFourThreads) {
+  const BinPin& pin = GetParam();
+  const std::vector<FeatureRef> features = NetworkFeatures();
+  const std::vector<size_t> rows = BuildRows(pin.rows);
+  exec::ThreadPool pool(4);
+  for (exec::Executor* executor : {static_cast<exec::Executor*>(nullptr),
+                                   static_cast<exec::Executor*>(&pool)}) {
+    auto index = HistogramIndex::Build(Network(), features, rows,
+                                       {.max_bins = pin.max_bins}, executor);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    const uint64_t hash = HashBins(*index, features);
+    EXPECT_EQ(hash, pin.hash) << (executor ? "4 threads" : "serial")
+                              << " bins hash to 0x" << std::hex << hash;
+    if (pin.rows == PinRows::kWithoutExtremes) {
+      EXPECT_GT(RowsAboveLastCut(*index, features), 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bins, HistogramBinsPinnedTest,
+    ::testing::Values(
+        BinPin{PinRows::kAll, 2, 0xfe4bee7065e8a161ull, "All2"},
+        BinPin{PinRows::kAll, 16, 0xfa50c820fccfb435ull, "All16"},
+        BinPin{PinRows::kAll, 256, 0x4c64d5022667d5a9ull, "All256"},
+        BinPin{PinRows::kStratifiedTrain, 2, 0xb52b8b3e112115beull, "Train2"},
+        BinPin{PinRows::kStratifiedTrain, 16, 0x66ebed1ba5dd602cull, "Train16"},
+        BinPin{PinRows::kStratifiedTrain, 256, 0x38ea064e86aa9440ull, "Train256"},
+        BinPin{PinRows::kShuffledWithDuplicate, 2, 0x1fbd85b486046446ull, "Shuffled2"},
+        BinPin{PinRows::kShuffledWithDuplicate, 16, 0xfb8461670f500fffull, "Shuffled16"},
+        BinPin{PinRows::kShuffledWithDuplicate, 256, 0x4b0819fad31943cfull, "Shuffled256"},
+        BinPin{PinRows::kWithoutExtremes, 2, 0x0729e43970a656fbull, "NoExtremes2"},
+        BinPin{PinRows::kWithoutExtremes, 16, 0xf3343ff406cbdb05ull, "NoExtremes16"},
+        BinPin{PinRows::kWithoutExtremes, 256, 0x0984593de15569abull, "NoExtremes256"}),
+    [](const ::testing::TestParamInfo<BinPin>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace roadmine::ml
