@@ -18,6 +18,7 @@
 #include "ml/classifier.h"
 #include "ml/common.h"
 #include "ml/feature_index.h"
+#include "ml/histogram_index.h"
 #include "ml/m5_tree.h"
 #include "ml/tree_growth.h"
 #include "roadgen/dataset_builder.h"
@@ -46,6 +47,104 @@ Result<std::vector<ThresholdClassCounts>> PrepareTargets(
   return counts;
 }
 
+// The tree sweep's fits, in the order its batch runs them: longest first.
+enum class TreeSweepLearner { kGbt, kRegressionTree, kDecisionTree };
+constexpr size_t kTreeSweepLearners = 3;
+constexpr const char* kTreeSweepLearnerNames[kTreeSweepLearners] = {
+    "gbt", "regression_tree", "decision_tree"};
+
+// Regression tree on the target as an interval variable: validation R^2
+// and leaf count.
+util::Status FitRegressionRow(const data::Dataset& dataset,
+                              const std::string& target,
+                              const std::vector<std::string>& features,
+                              const data::TrainValidationIndices& split,
+                              const ml::RegressionTreeParams& params,
+                              ThresholdModelResult* row) {
+  ml::RegressionTree tree(params);
+  ROADMINE_RETURN_IF_ERROR(tree.Fit(dataset, target, features, split.train));
+  auto labels = ml::ExtractNumericTarget(dataset, target);
+  if (!labels.ok()) return labels.status();
+  std::vector<double> actuals;
+  actuals.reserve(split.validation.size());
+  for (size_t r : split.validation) actuals.push_back((*labels)[r]);
+  auto predictions = tree.PredictBatch(dataset, split.validation);
+  if (!predictions.ok()) return predictions.status();
+  auto r2 = eval::RSquared(*predictions, actuals);
+  row->r_squared = r2.ok() ? *r2 : 0.0;
+  row->regression_leaves = tree.leaf_count();
+  return util::Status::Ok();
+}
+
+// Chi-square decision tree on the Boolean target: validation assessment
+// and leaf count.
+util::Status FitDecisionRow(const data::Dataset& dataset,
+                            const std::string& target,
+                            const std::vector<std::string>& features,
+                            const data::TrainValidationIndices& split,
+                            const ml::DecisionTreeParams& params,
+                            ThresholdModelResult* row) {
+  ml::DecisionTreeClassifier tree(params);
+  ROADMINE_RETURN_IF_ERROR(tree.Fit(dataset, target, features, split.train));
+  auto labels = ml::ExtractBinaryLabels(dataset, target);
+  if (!labels.ok()) return labels.status();
+  eval::ConfusionMatrix cm;
+  for (size_t r : split.validation) {
+    cm.Add((*labels)[r] != 0, tree.Predict(dataset, r) != 0);
+  }
+  const eval::BinaryAssessment assessment = eval::Assess(cm);
+  row->negative_predictive_value = assessment.negative_predictive_value;
+  row->positive_predictive_value = assessment.positive_predictive_value;
+  row->misclassification_rate = assessment.misclassification_rate;
+  row->mcpv = assessment.mcpv;
+  row->kappa = assessment.kappa;
+  row->tree_leaves = tree.leaf_count();
+  return util::Status::Ok();
+}
+
+// Gradient-boosted trees on the same Boolean target and split: the
+// production-scale comparison row next to the paper's single tree. Unless
+// `params` already carries bins, the train rows are binned here, from
+// `ranks` when the sweep holds a FeatureIndex.
+util::Status FitGbtRow(const data::Dataset& dataset, const std::string& target,
+                       const std::vector<std::string>& features,
+                       const data::TrainValidationIndices& split,
+                       ml::GradientBoostedTreesParams params,
+                       const ml::FeatureIndex* ranks,
+                       ThresholdModelResult* row) {
+  std::optional<ml::HistogramIndex> bins;
+  if (params.histogram_index == nullptr) {
+    auto refs = ml::ResolveFeatures(dataset, features, target);
+    if (!refs.ok()) return refs.status();
+    auto built = ml::HistogramIndex::Build(dataset, *refs, split.train,
+                                           {.max_bins = params.max_bins},
+                                           params.executor, ranks);
+    if (!built.ok()) return built.status();
+    params.histogram_index = &bins.emplace(std::move(*built));
+  }
+  ml::GradientBoostedTrees gbt(params);
+  ROADMINE_RETURN_IF_ERROR(gbt.Fit(dataset, target, features, split.train));
+  auto labels = ml::ExtractBinaryLabels(dataset, target);
+  if (!labels.ok()) return labels.status();
+  auto probs = gbt.PredictBatch(dataset, split.validation);
+  if (!probs.ok()) return probs.status();
+  eval::ConfusionMatrix cm;
+  std::vector<int> validation_labels;
+  validation_labels.reserve(split.validation.size());
+  for (size_t j = 0; j < split.validation.size(); ++j) {
+    const int label = (*labels)[split.validation[j]];
+    validation_labels.push_back(label);
+    cm.Add(label != 0, (*probs)[j] >= 0.5);
+  }
+  const eval::BinaryAssessment assessment = eval::Assess(cm);
+  row->gbt_mcpv = assessment.mcpv;
+  row->gbt_kappa = assessment.kappa;
+  auto auc = eval::RocAuc(*probs, validation_labels);
+  row->gbt_auc = auc.ok() ? *auc : 0.0;
+  row->gbt_leaves = gbt.total_leaves();
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 std::vector<std::string> CrashPronenessStudy::FeaturesFor(
@@ -71,8 +170,9 @@ Result<std::vector<ThresholdModelResult>> CrashPronenessStudy::RunTreeSweep(
 
   // One FeatureIndex for the whole sweep: only target columns change
   // between thresholds, so every threshold's regression and decision tree
-  // grows over it. An index the caller already set in either param set is
-  // used as given.
+  // grows over it, and every GBT fit bins its train rows from its value
+  // ranks. An index the caller already set in either param set is used as
+  // given.
   ml::RegressionTreeParams regression_params = config_.regression_params;
   ml::DecisionTreeParams tree_params = config_.tree_params;
   const bool regression_shares =
@@ -90,98 +190,58 @@ Result<std::vector<ThresholdModelResult>> CrashPronenessStudy::RunTreeSweep(
     if (regression_shares) regression_params.feature_index = &*sweep_index;
     if (tree_shares) tree_params.feature_index = &*sweep_index;
   }
+  const ml::FeatureIndex* ranks = sweep_index ? &*sweep_index : nullptr;
 
-  // One task per CP-threshold row; each draws its split from child stream
-  // i of the study seed, so row i is identical however tasks interleave.
+  // Each live threshold's split, drawn from child stream i of the study
+  // seed, so row i is identical however its fits interleave. Degenerate
+  // thresholds (a single class) cannot be modeled; their rows keep zeroed
+  // metrics rather than failing the sweep.
   std::vector<ThresholdModelResult> results(config_.thresholds.size());
+  std::vector<data::TrainValidationIndices> splits(config_.thresholds.size());
+  std::vector<size_t> live;
+  for (size_t i = 0; i < config_.thresholds.size(); ++i) {
+    ThresholdModelResult& row = results[i];
+    row.threshold = config_.thresholds[i];
+    row.non_crash_prone = (*counts)[i].non_crash_prone;
+    row.crash_prone = (*counts)[i].crash_prone;
+    if (row.non_crash_prone == 0 || row.crash_prone == 0) continue;
+    util::Rng split_rng(util::Rng::SplitSeed(config_.seed, i));
+    auto split = data::StratifiedTrainValidationSplit(
+        dataset, ThresholdTargetName(row.threshold), config_.train_fraction,
+        split_rng);
+    if (!split.ok()) return split.status();
+    splits[i] = std::move(*split);
+    live.push_back(i);
+  }
+
+  // One task per (threshold, learner), longest fits first so that no
+  // long fit starts last: every GBT fit, then every regression tree, then
+  // every decision tree. Each task writes only its own learner's fields
+  // of row i.
   ROADMINE_RETURN_IF_ERROR(exec::ParallelFor(
-      config_.executor, config_.thresholds.size(),
-      [&](size_t i) -> util::Status {
-        const int threshold = config_.thresholds[i];
-        ROADMINE_TRACE_SPAN("study.tree_sweep.cp" + std::to_string(threshold));
-        const std::string target = ThresholdTargetName(threshold);
-
-        ThresholdModelResult& row = results[i];
-        row.threshold = threshold;
-        row.non_crash_prone = (*counts)[i].non_crash_prone;
-        row.crash_prone = (*counts)[i].crash_prone;
-
-        // Degenerate thresholds (a single class) cannot be modeled; report
-        // the row with zeroed metrics rather than failing the sweep.
-        if (row.non_crash_prone == 0 || row.crash_prone == 0) {
-          return util::Status::Ok();
-        }
-
-        util::Rng split_rng(util::Rng::SplitSeed(config_.seed, i));
-        auto split = data::StratifiedTrainValidationSplit(
-            dataset, target, config_.train_fraction, split_rng);
-        if (!split.ok()) return split.status();
-
-        // Regression tree on the target as an interval variable.
-        {
-          ml::RegressionTree tree(regression_params);
-          ROADMINE_RETURN_IF_ERROR(
-              tree.Fit(dataset, target, features, split->train));
-          auto labels = ml::ExtractNumericTarget(dataset, target);
-          if (!labels.ok()) return labels.status();
-          std::vector<double> actuals;
-          actuals.reserve(split->validation.size());
-          for (size_t r : split->validation) actuals.push_back((*labels)[r]);
-          auto predictions = tree.PredictBatch(dataset, split->validation);
-          if (!predictions.ok()) return predictions.status();
-          auto r2 = eval::RSquared(*predictions, actuals);
-          row.r_squared = r2.ok() ? *r2 : 0.0;
-          row.regression_leaves = tree.leaf_count();
-        }
-
-        // Chi-square decision tree on the Boolean target.
-        {
-          ml::DecisionTreeClassifier tree(tree_params);
-          ROADMINE_RETURN_IF_ERROR(
-              tree.Fit(dataset, target, features, split->train));
-          auto labels = ml::ExtractBinaryLabels(dataset, target);
-          if (!labels.ok()) return labels.status();
-          eval::ConfusionMatrix cm;
-          for (size_t r : split->validation) {
-            cm.Add((*labels)[r] != 0, tree.Predict(dataset, r) != 0);
+      config_.executor, kTreeSweepLearners * live.size(),
+      [&](size_t task) -> util::Status {
+        const size_t i = live[task % live.size()];
+        const size_t learner = task / live.size();
+        const std::string target = ThresholdTargetName(results[i].threshold);
+        ROADMINE_TRACE_SPAN("study.tree_sweep.cp" +
+                            std::to_string(results[i].threshold) + "." +
+                            kTreeSweepLearnerNames[learner]);
+        switch (static_cast<TreeSweepLearner>(learner)) {
+          case TreeSweepLearner::kGbt: {
+            // Reseeded per threshold from a child stream so row i is
+            // reproducible in isolation.
+            ml::GradientBoostedTreesParams params = config_.gbt_params;
+            params.seed = util::Rng::SplitSeed(config_.seed ^ params.seed, i);
+            return FitGbtRow(dataset, target, features, splits[i], params,
+                             ranks, &results[i]);
           }
-          const eval::BinaryAssessment assessment = eval::Assess(cm);
-          row.negative_predictive_value = assessment.negative_predictive_value;
-          row.positive_predictive_value = assessment.positive_predictive_value;
-          row.misclassification_rate = assessment.misclassification_rate;
-          row.mcpv = assessment.mcpv;
-          row.kappa = assessment.kappa;
-          row.tree_leaves = tree.leaf_count();
-        }
-
-        // Gradient-boosted trees on the same Boolean target and split —
-        // the production-scale comparison row next to the paper's single
-        // tree. Reseeded per threshold from a child stream so row i is
-        // reproducible in isolation.
-        {
-          ml::GradientBoostedTreesParams params = config_.gbt_params;
-          params.seed = util::Rng::SplitSeed(config_.seed ^ params.seed, i);
-          ml::GradientBoostedTrees gbt(params);
-          ROADMINE_RETURN_IF_ERROR(
-              gbt.Fit(dataset, target, features, split->train));
-          auto labels = ml::ExtractBinaryLabels(dataset, target);
-          if (!labels.ok()) return labels.status();
-          auto probs = gbt.PredictBatch(dataset, split->validation);
-          if (!probs.ok()) return probs.status();
-          eval::ConfusionMatrix cm;
-          std::vector<int> validation_labels;
-          validation_labels.reserve(split->validation.size());
-          for (size_t j = 0; j < split->validation.size(); ++j) {
-            const int label = (*labels)[split->validation[j]];
-            validation_labels.push_back(label);
-            cm.Add(label != 0, (*probs)[j] >= 0.5);
-          }
-          const eval::BinaryAssessment assessment = eval::Assess(cm);
-          row.gbt_mcpv = assessment.mcpv;
-          row.gbt_kappa = assessment.kappa;
-          auto auc = eval::RocAuc(*probs, validation_labels);
-          row.gbt_auc = auc.ok() ? *auc : 0.0;
-          row.gbt_leaves = gbt.total_leaves();
+          case TreeSweepLearner::kRegressionTree:
+            return FitRegressionRow(dataset, target, features, splits[i],
+                                    regression_params, &results[i]);
+          case TreeSweepLearner::kDecisionTree:
+            return FitDecisionRow(dataset, target, features, splits[i],
+                                  tree_params, &results[i]);
         }
         return util::Status::Ok();
       }));

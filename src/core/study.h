@@ -48,19 +48,20 @@ struct StudyConfig {
   // Gradient-boosted trees ride the same sweep as the production-scale
   // comparison point (histogram-binned, shallow, subsampled). Each
   // threshold reseeds from a child stream, so leave `seed` here as the
-  // base. The executor is NOT forwarded: sweep rows already occupy the
+  // base. The executor is NOT forwarded: sweep fits already occupy the
   // study executor, and nesting would not change the fitted model anyway.
   ml::GradientBoostedTreesParams gbt_params{.num_trees = 40,
                                             .max_depth = 4,
                                             .subsample = 0.8,
                                             .colsample = 0.8};
   uint64_t seed = 1234;
-  // Optional parallelism (not owned, may be null = serial): each sweep
-  // runs one task per CP-threshold row, and the per-threshold
-  // cross-validations fan their folds onto the same executor. Every
-  // threshold draws its randomness from a child stream of `seed` keyed by
-  // its position in `thresholds`, so sweep results are bit-identical at
-  // any thread count.
+  // Optional parallelism (not owned, may be null = serial): the tree
+  // sweep runs one task per (CP threshold, model) fit, longest first; the
+  // other sweeps run one task per CP-threshold row, and their
+  // per-threshold cross-validations fan their folds onto the same
+  // executor. Every threshold draws its randomness from a child stream of
+  // `seed` keyed by its position in `thresholds`, so sweep results are
+  // bit-identical at any thread count.
   exec::Executor* executor = nullptr;
   // When non-empty, each sweep writes observability artifacts into this
   // directory (created if missing): a run manifest

@@ -76,25 +76,7 @@ util::Result<FeatureIndex> FeatureIndex::Build(
   const Status status = exec::ParallelFor(executor, total, [&](size_t i) {
     if (i < numeric_columns.size()) {
       const size_t c = numeric_columns[i];
-      const data::Column& col = dataset.column(c);
-      NumericColumn& slot = out.numeric_[out.numeric_slot_[c] - 1];
-      slot.rank.assign(n, kMissingRank);
-      std::vector<std::pair<double, uint32_t>> present;
-      present.reserve(n);
-      for (size_t r = 0; r < n; ++r) {
-        const double v = col.NumericAt(r);
-        if (!std::isnan(v)) present.emplace_back(v, static_cast<uint32_t>(r));
-      }
-      // Equal values share a rank, so their order after the sort is
-      // irrelevant and an unstable sort suffices.
-      std::sort(present.begin(), present.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (size_t j = 0; j < present.size(); ++j) {
-        if (j > 0 && present[j - 1].first < present[j].first) ++slot.distinct;
-        slot.rank[present[j].second] = slot.distinct;
-      }
-      if (!present.empty()) ++slot.distinct;
-      slot.constant = slot.distinct < 2;
+      out.numeric_[out.numeric_slot_[c] - 1] = RankNumeric(dataset.column(c));
     } else {
       const size_t c = categorical_columns[i - numeric_columns.size()];
       const data::Column& col = dataset.column(c);
@@ -131,6 +113,30 @@ util::Result<FeatureIndex> FeatureIndex::Build(
     return Status::Ok();
   });
   if (!status.ok()) return status;
+  return out;
+}
+
+FeatureIndex::NumericColumn FeatureIndex::RankNumeric(
+    const data::Column& column) {
+  const size_t n = column.size();
+  NumericColumn out;
+  out.rank.assign(n, kMissingRank);
+  std::vector<std::pair<double, uint32_t>> present;
+  present.reserve(n);
+  for (size_t r = 0; r < n; ++r) {
+    const double v = column.NumericAt(r);
+    if (!std::isnan(v)) present.emplace_back(v, static_cast<uint32_t>(r));
+  }
+  // Equal values share a rank, so their order after the sort is
+  // irrelevant and an unstable sort suffices.
+  std::sort(present.begin(), present.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t j = 0; j < present.size(); ++j) {
+    if (j > 0 && present[j - 1].first < present[j].first) ++out.distinct;
+    out.rank[present[j].second] = out.distinct;
+  }
+  if (!present.empty()) ++out.distinct;
+  out.constant = out.distinct < 2;
   return out;
 }
 

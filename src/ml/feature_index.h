@@ -93,6 +93,12 @@ class FeatureIndex {
       const data::Dataset& dataset, const std::vector<FeatureRef>& features,
       exec::Executor* executor = nullptr);
 
+  // Ranks one numeric column over all its rows: the NumericColumn that
+  // Build stores for it. HistogramIndex::Build calls it for a column when
+  // no index supplies the ranks. The column must have fewer than
+  // kMissingRank rows.
+  static NumericColumn RankNumeric(const data::Column& column);
+
   // Row count of the dataset the index was built over. A consumer must
   // reject an index whose row count differs from its training dataset.
   size_t num_rows() const { return num_rows_; }

@@ -1,9 +1,7 @@
 #include "ml/histogram_index.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "exec/executor.h"
+#include "ml/feature_index.h"
 
 namespace roadmine::ml {
 
@@ -13,49 +11,63 @@ using util::Status;
 
 namespace {
 
-// Bins one numeric column. Cut values are data values: all distinct
-// build-row values when they fit, else the values at max_bins evenly
-// spaced ranks of the sorted multiset (heavy ties collapse via the final
-// dedup, so a column may end with far fewer bins than max_bins).
-void BinNumeric(const data::Column& col, const std::vector<size_t>& rows,
-                size_t max_bins, HistogramIndex::FeatureBins* out) {
-  std::vector<double> values;
-  values.reserve(rows.size());
+// Bins one numeric column from its dense value ranks (FeatureIndex's
+// NumericColumn: per dataset row, the rank of its value among the
+// column's distinct present values). Cut values are data values: all
+// distinct build-row values when they fit, else the values at max_bins
+// evenly spaced positions b*n/max_bins - 1 of the sorted build-row
+// multiset, deduplicated (heavy ties collapse, so a column may end with
+// far fewer bins than max_bins). Counting build rows per rank finds those
+// positions without sorting, and a rank-to-bin table codes every row.
+void BinNumeric(const data::Column& col,
+                const FeatureIndex::NumericColumn& ranks,
+                const std::vector<size_t>& rows, size_t max_bins,
+                HistogramIndex::FeatureBins* out) {
+  std::vector<size_t> count(ranks.distinct, 0);
+  size_t n = 0;
   for (size_t r : rows) {
-    const double v = col.NumericAt(r);
-    if (!std::isnan(v)) values.push_back(v);
+    const uint32_t k = ranks.rank[r];
+    if (k == FeatureIndex::kMissingRank) continue;
+    ++count[k];
+    ++n;
   }
-  std::sort(values.begin(), values.end());
-
-  std::vector<double>& upper = out->upper;
-  std::vector<double> distinct = values;
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  if (distinct.size() <= max_bins) {
-    upper = std::move(distinct);
-  } else {
-    upper.reserve(max_bins);
-    const size_t n = values.size();
-    for (size_t b = 1; b <= max_bins; ++b) {
-      upper.push_back(values[b * n / max_bins - 1]);
+  // The rank of each cut, ascending.
+  std::vector<uint32_t> cuts;
+  size_t present = 0;
+  for (size_t c : count) present += c > 0;
+  if (present <= max_bins) {
+    for (uint32_t k = 0; k < ranks.distinct; ++k) {
+      if (count[k] > 0) cuts.push_back(k);
     }
-    upper.erase(std::unique(upper.begin(), upper.end()), upper.end());
+  } else {
+    uint32_t k = 0;
+    size_t through_k = count[0];  // Build rows ranked <= k.
+    for (size_t b = 1; b <= max_bins; ++b) {
+      const size_t position = b * n / max_bins - 1;
+      while (through_k <= position) through_k += count[++k];
+      if (cuts.empty() || cuts.back() != k) cuts.push_back(k);
+    }
   }
-  out->num_bins = upper.size();
-  out->constant = upper.size() < 2;
+  out->num_bins = cuts.size();
+  out->constant = cuts.size() < 2;
 
-  const std::vector<double>& numeric = col.numeric_values();
-  out->codes.resize(numeric.size(), HistogramIndex::kMissingBin);
-  if (upper.empty()) return;  // All missing: every code stays kMissingBin.
-  for (size_t r = 0; r < numeric.size(); ++r) {
-    const double v = numeric[r];
-    if (std::isnan(v)) continue;
-    const size_t bin = static_cast<size_t>(
-        std::lower_bound(upper.begin(), upper.end(), v) - upper.begin());
-    // Rows above the build-row max (possible only outside the build set)
-    // clamp into the last bin.
-    out->codes[r] =
-        static_cast<uint16_t>(std::min(bin, upper.size() - 1));
+  out->codes.resize(col.size(), HistogramIndex::kMissingBin);
+  if (cuts.empty()) return;  // All missing: every code stays kMissingBin.
+  // bin_of[k]: the first bin whose cut ranks >= k; ranks above the last
+  // cut (possible only outside the build set) clamp into the last bin.
+  std::vector<uint16_t> bin_of(ranks.distinct);
+  size_t bin = 0;
+  for (uint32_t k = 0; k < ranks.distinct; ++k) {
+    while (bin + 1 < cuts.size() && cuts[bin] < k) ++bin;
+    bin_of[k] = static_cast<uint16_t>(bin);
+  }
+  out->upper.resize(cuts.size());
+  for (size_t r = 0; r < col.size(); ++r) {
+    const uint32_t k = ranks.rank[r];
+    if (k == FeatureIndex::kMissingRank) continue;
+    const uint16_t code = bin_of[k];
+    out->codes[r] = code;
+    if (cuts[code] == k) out->upper[code] = col.NumericAt(r);
   }
 }
 
@@ -90,15 +102,31 @@ Status BinCategorical(const data::Column& col, const std::vector<size_t>& rows,
 
 }  // namespace
 
-Result<HistogramIndex> HistogramIndex::Build(const data::Dataset& dataset,
-                                             const std::vector<FeatureRef>& features,
-                                             const std::vector<size_t>& rows,
-                                             HistogramIndexParams params,
-                                             exec::Executor* executor) {
-  if (rows.empty()) return InvalidArgumentError("cannot bin 0 rows");
+Result<HistogramIndex> HistogramIndex::Build(
+    const data::Dataset& dataset, const std::vector<FeatureRef>& features,
+    const std::vector<size_t>& rows, HistogramIndexParams params,
+    exec::Executor* executor, const FeatureIndex* ranks) {
+  ROADMINE_RETURN_IF_ERROR(CheckFitRows(rows, dataset.num_rows()));
   if (features.empty()) return InvalidArgumentError("no features to bin");
   if (params.max_bins < 2 || params.max_bins >= kMissingBin) {
     return InvalidArgumentError("max_bins must be in [2, 65534]");
+  }
+  for (const FeatureRef& ref : features) {
+    if (ref.column_index >= dataset.num_columns() ||
+        dataset.column(ref.column_index).type() != ref.type) {
+      return InvalidArgumentError("feature '" + ref.name +
+                                  "' does not match the dataset's columns");
+    }
+    if (ref.type != data::ColumnType::kNumeric) continue;
+    if (ranks == nullptr) {
+      if (dataset.num_rows() >= FeatureIndex::kMissingRank) {
+        return InvalidArgumentError("too many rows to rank for binning");
+      }
+    } else if (ranks->num_rows() != dataset.num_rows() ||
+               ranks->Numeric(ref.column_index) == nullptr) {
+      return InvalidArgumentError("feature index does not cover column '" +
+                                  ref.name + "' of this dataset");
+    }
   }
   HistogramIndex index;
   index.params_ = params;
@@ -109,16 +137,23 @@ Result<HistogramIndex> HistogramIndex::Build(const data::Dataset& dataset,
     index.slot_[features[f].column_index] = f + 1;
   }
   // Each feature bins independently and writes only its own slot, so an
-  // executor changes nothing but speed.
+  // executor changes nothing but speed. Without an index, a numeric
+  // column's ranks live only while its own task bins it.
   ROADMINE_RETURN_IF_ERROR(exec::ParallelFor(
       executor, features.size(), [&](size_t f) -> Status {
         const data::Column& col = dataset.column(features[f].column_index);
         FeatureBins& out = index.bins_[f];
-        if (features[f].type == data::ColumnType::kNumeric) {
-          BinNumeric(col, rows, params.max_bins, &out);
-          return Status::Ok();
+        if (features[f].type != data::ColumnType::kNumeric) {
+          return BinCategorical(col, rows, &out);
         }
-        return BinCategorical(col, rows, &out);
+        if (ranks != nullptr) {
+          BinNumeric(col, *ranks->Numeric(features[f].column_index), rows,
+                     params.max_bins, &out);
+        } else {
+          BinNumeric(col, FeatureIndex::RankNumeric(col), rows,
+                     params.max_bins, &out);
+        }
+        return Status::Ok();
       }));
   return index;
 }

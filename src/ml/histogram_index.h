@@ -5,9 +5,12 @@
 // bounds are ACTUAL data values chosen at evenly spaced ranks of the
 // sorted build rows (all distinct values when there are few enough),
 // categorical columns map their level codes through directly, and missing
-// values get the dedicated kMissingBin code. Trainers then build
-// per-node statistics over codes (O(rows) per feature, no sorting) and
-// scan at most max_bins candidate cuts per split.
+// values get the dedicated kMissingBin code. Numeric columns are binned
+// from each row's dense value rank (a FeatureIndex's, or ranked in
+// place), by counting build rows per rank: no sort of the build rows and
+// no search per row. Trainers then build per-node statistics over codes
+// (O(rows) per feature, no sorting) and scan at most max_bins candidate
+// cuts per split.
 //
 // Corrected cut semantics: because every numeric cut is a data value (the
 // upper bound of a bin), a split "bin <= b" serializes as the threshold
@@ -33,6 +36,8 @@ class Executor;
 }  // namespace roadmine::exec
 
 namespace roadmine::ml {
+
+class FeatureIndex;
 
 struct HistogramIndexParams {
   // Upper bound on bins per numeric column (2..65535). 256 keeps a
@@ -67,14 +72,22 @@ class HistogramIndex {
 
   HistogramIndex() = default;
 
-  // Bins every feature column over the build rows. Features evaluate
-  // independently on `executor` (results are bit-identical at any thread
-  // count). Fails on empty rows/features, out-of-range max_bins, or a
-  // categorical column with more levels than the code space.
+  // Bins every feature column over the build rows (a row listed twice
+  // counts twice). Numeric columns take their value ranks from `ranks`
+  // when given, a FeatureIndex built over this same dataset (callers that
+  // already hold one, like the study sweep, skip the ranking); otherwise
+  // each column is ranked in place. The bins are the same either way.
+  // Features evaluate independently on `executor` (results are
+  // bit-identical at any thread count). Fails on a row list CheckFitRows
+  // rejects, no features, a feature that does not match the dataset's
+  // columns, out-of-range max_bins, `ranks` of another row count or
+  // missing a numeric feature, or a categorical column with more levels
+  // than the code space.
   [[nodiscard]] static util::Result<HistogramIndex> Build(
       const data::Dataset& dataset, const std::vector<FeatureRef>& features,
       const std::vector<size_t>& rows, HistogramIndexParams params = {},
-      exec::Executor* executor = nullptr);
+      exec::Executor* executor = nullptr,
+      const FeatureIndex* ranks = nullptr);
 
   // True when every listed feature column is indexed with matching type.
   bool Covers(const std::vector<FeatureRef>& features) const;

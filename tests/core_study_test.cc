@@ -7,9 +7,13 @@
 
 #include "core/thresholds.h"
 #include "data/split.h"
+#include "eval/binary_metrics.h"
+#include "eval/confusion.h"
 #include "eval/regression_metrics.h"
+#include "eval/roc.h"
 #include "exec/executor.h"
 #include "ml/feature_index.h"
+#include "ml/gradient_boosting.h"
 #include "ml/m5_tree.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -229,6 +233,55 @@ TEST(CrashPronenessStudyTest, TreeSweepOverOneSharedIndexEqualsPerNodeSort) {
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(FeatureIndexBuilds(), builds_before + 1);
     ExpectSameRows(*got, *want);
+  }
+}
+
+// The sweep bins each GBT fit's train rows from the value ranks of its
+// shared FeatureIndex; every GBT field must equal a plain Fit's on the same
+// split and seed, which bins its train rows itself.
+TEST(CrashPronenessStudyTest, TreeSweepGbtRowsEqualPlainFits) {
+  data::Dataset ds = SmallCrashOnlyDataset();
+  exec::ThreadPool pool(4);
+  StudyConfig config = FastConfig();
+  config.executor = &pool;
+  auto got = CrashPronenessStudy(config).RunTreeSweep(ds);
+  ASSERT_TRUE(got.ok());
+
+  std::vector<std::string> features;
+  for (const std::string& name : roadgen::RoadAttributeColumns()) {
+    if (ds.HasColumn(name)) features.push_back(name);
+  }
+  for (size_t i = 0; i < config.thresholds.size(); ++i) {
+    const std::string target = ThresholdTargetName(config.thresholds[i]);
+    SCOPED_TRACE(target);
+    util::Rng split_rng(util::Rng::SplitSeed(config.seed, i));
+    auto split = data::StratifiedTrainValidationSplit(
+        ds, target, config.train_fraction, split_rng);
+    ASSERT_TRUE(split.ok());
+    ml::GradientBoostedTreesParams params = config.gbt_params;
+    params.seed = util::Rng::SplitSeed(config.seed ^ params.seed, i);
+    ml::GradientBoostedTrees gbt(params);
+    ASSERT_TRUE(gbt.Fit(ds, target, features, split->train).ok());
+    auto probs = gbt.PredictBatch(ds, split->validation);
+    ASSERT_TRUE(probs.ok());
+    auto labels = ml::ExtractBinaryLabels(ds, target);
+    ASSERT_TRUE(labels.ok());
+    eval::ConfusionMatrix cm;
+    std::vector<int> validation_labels;
+    for (size_t j = 0; j < split->validation.size(); ++j) {
+      const int label = (*labels)[split->validation[j]];
+      validation_labels.push_back(label);
+      cm.Add(label != 0, (*probs)[j] >= 0.5);
+    }
+    const eval::BinaryAssessment assessment = eval::Assess(cm);
+    auto auc = eval::RocAuc(*probs, validation_labels);
+    ASSERT_TRUE(auc.ok());
+    const ThresholdModelResult& row = (*got)[i];
+    ASSERT_GT(row.gbt_leaves, 0u);
+    EXPECT_EQ(row.gbt_mcpv, assessment.mcpv);
+    EXPECT_EQ(row.gbt_kappa, assessment.kappa);
+    EXPECT_EQ(row.gbt_auc, *auc);
+    EXPECT_EQ(row.gbt_leaves, gbt.total_leaves());
   }
 }
 

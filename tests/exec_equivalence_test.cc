@@ -212,6 +212,10 @@ TEST(ExecEquivalenceTest, TreeSweepRowsBitIdentical) {
         EXPECT_EQ(Bits(s.mcpv), Bits(p.mcpv));
         EXPECT_EQ(Bits(s.kappa), Bits(p.kappa));
         EXPECT_EQ(s.tree_leaves, p.tree_leaves);
+        EXPECT_EQ(Bits(s.gbt_mcpv), Bits(p.gbt_mcpv));
+        EXPECT_EQ(Bits(s.gbt_kappa), Bits(p.gbt_kappa));
+        EXPECT_EQ(Bits(s.gbt_auc), Bits(p.gbt_auc));
+        EXPECT_EQ(s.gbt_leaves, p.gbt_leaves);
       }
     }
   }

@@ -11,7 +11,9 @@
 #include "ml/common.h"
 #include "ml/count_regression.h"
 #include "ml/decision_tree.h"
+#include "ml/feature_index.h"
 #include "ml/gradient_boosting.h"
+#include "ml/histogram_index.h"
 #include "ml/kmeans.h"
 #include "ml/logistic_regression.h"
 #include "ml/m5_tree.h"
@@ -149,6 +151,61 @@ TEST_F(PruneRowsTest, RejectsRowPastTheEndAndKeepsTheTree) {
   EXPECT_EQ(tree_.PruneReducedError(ds_, "y", rows).code(),
             util::StatusCode::kInvalidArgument);
   EXPECT_EQ(tree_.Serialize(), fitted_);
+}
+
+// HistogramIndex::Build reads a column value at every build row id, so it
+// validates the row list as every Fit does: an empty list or an id past
+// the dataset is an InvalidArgumentError, not an out-of-bounds read.
+TEST(HistogramIndexRowsTest, RejectsEmptyRowsAndRowPastTheEnd) {
+  const data::Dataset ds = SmallDataset();
+  auto features = ResolveFeatures(ds, {"x", "c"}, "y");
+  ASSERT_TRUE(features.ok());
+  EXPECT_EQ(HistogramIndex::Build(ds, *features, {}).status().code(),
+            util::StatusCode::kInvalidArgument);
+  for (const size_t past : {ds.num_rows(), size_t{1} << 40}) {
+    std::vector<size_t> rows = ds.AllRowIndices();
+    rows[50] = past;
+    EXPECT_EQ(HistogramIndex::Build(ds, *features, rows).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << past;
+  }
+}
+
+// Value ranks passed to HistogramIndex::Build must come from an index over
+// a dataset of the same row count that covers every numeric feature.
+TEST(HistogramIndexRowsTest, RejectsFeatureIndexThatDoesNotCoverTheFit) {
+  const data::Dataset ds = SmallDataset();
+  auto features = ResolveFeatures(ds, {"x", "c"}, "y");
+  ASSERT_TRUE(features.ok());
+  const std::vector<size_t> rows = ds.AllRowIndices();
+
+  auto covering = FeatureIndex::Build(ds, *features);
+  ASSERT_TRUE(covering.ok());
+  EXPECT_TRUE(
+      HistogramIndex::Build(ds, *features, rows, {}, nullptr, &*covering).ok());
+
+  data::Dataset shorter;
+  ASSERT_TRUE(shorter.AddColumn(data::Column::Numeric("x", {1.0, 2.0})).ok());
+  ASSERT_TRUE(shorter
+                  .AddColumn(data::Column::CategoricalFromStrings(
+                      "c", {"sealed", "unsealed"}))
+                  .ok());
+  auto stale =
+      FeatureIndex::Build(shorter, std::vector<std::string>{"x", "c"});
+  ASSERT_TRUE(stale.ok());
+  EXPECT_EQ(HistogramIndex::Build(ds, *features, rows, {}, nullptr, &*stale)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
+
+  auto categorical_only =
+      FeatureIndex::Build(ds, std::vector<std::string>{"c"});
+  ASSERT_TRUE(categorical_only.ok());
+  EXPECT_EQ(HistogramIndex::Build(ds, *features, rows, {}, nullptr,
+                                  &*categorical_only)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST(CheckFitRowsTest, RejectsEmptyAndOutOfRangeIds) {

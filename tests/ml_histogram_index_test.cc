@@ -14,6 +14,7 @@
 #include "data/split.h"
 #include "exec/executor.h"
 #include "ml/decision_tree.h"
+#include "ml/feature_index.h"
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
 #include "serve/flat_model.h"
@@ -107,6 +108,21 @@ TEST(HistogramIndexTest, RejectsOutOfRangeBinCounts) {
   EXPECT_FALSE(HistogramIndex::Build(ds, NumericFeature(ds, 0, "x"),
                                      ds.AllRowIndices(), {.max_bins = 70000})
                    .ok());
+}
+
+TEST(HistogramIndexTest, RejectsFeaturesThatDoNotMatchTheColumns) {
+  data::Dataset ds;
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", {1.0, 2.0})).ok());
+  const std::vector<size_t> rows = ds.AllRowIndices();
+  EXPECT_EQ(HistogramIndex::Build(ds, NumericFeature(ds, 1, "y"), rows)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(HistogramIndex::Build(
+                ds, {FeatureRef{0, data::ColumnType::kCategorical, "x"}}, rows)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 TEST(HistogramIndexTest, CategoricalLevelsMapDirectly) {
@@ -258,7 +274,9 @@ TEST(HistogramIndexTest, SharedIndexMatchesPrivateBuild) {
 // Absolute pins for the bins themselves: each case hashes every road
 // attribute's cuts, num_bins, constant flag and codes from one Build over
 // the 6,000-segment roadgen fixture (seed 2011, as in ml_tree_pinned_test),
-// serially and on a 4-thread pool.
+// serially and on a 4-thread pool, with the value ranks computed in place
+// and with them read from a FeatureIndex over the fixture. The hashes were
+// taken from the sort-and-search binning that the rank counting replaced.
 class Fnv1a {
  public:
   void Add(const void* data, size_t size) {
@@ -403,21 +421,29 @@ size_t RowsAboveLastCut(const HistogramIndex& index,
 
 class HistogramBinsPinnedTest : public ::testing::TestWithParam<BinPin> {};
 
-TEST_P(HistogramBinsPinnedTest, HashHoldsSeriallyAndOnFourThreads) {
+TEST_P(HistogramBinsPinnedTest, HashHoldsForEveryRankSourceAndThreadCount) {
   const BinPin& pin = GetParam();
   const std::vector<FeatureRef> features = NetworkFeatures();
   const std::vector<size_t> rows = BuildRows(pin.rows);
+  auto feature_index = FeatureIndex::Build(Network(), features);
+  ASSERT_TRUE(feature_index.ok());
   exec::ThreadPool pool(4);
-  for (exec::Executor* executor : {static_cast<exec::Executor*>(nullptr),
-                                   static_cast<exec::Executor*>(&pool)}) {
-    auto index = HistogramIndex::Build(Network(), features, rows,
-                                       {.max_bins = pin.max_bins}, executor);
-    ASSERT_TRUE(index.ok()) << index.status().ToString();
-    const uint64_t hash = HashBins(*index, features);
-    EXPECT_EQ(hash, pin.hash) << (executor ? "4 threads" : "serial")
-                              << " bins hash to 0x" << std::hex << hash;
-    if (pin.rows == PinRows::kWithoutExtremes) {
-      EXPECT_GT(RowsAboveLastCut(*index, features), 0u);
+  for (const FeatureIndex* ranks :
+       {static_cast<const FeatureIndex*>(nullptr),
+        static_cast<const FeatureIndex*>(&*feature_index)}) {
+    for (exec::Executor* executor : {static_cast<exec::Executor*>(nullptr),
+                                     static_cast<exec::Executor*>(&pool)}) {
+      SCOPED_TRACE(std::string(ranks ? "FeatureIndex ranks" : "in place") +
+                   (executor ? ", 4 threads" : ", serial"));
+      auto index = HistogramIndex::Build(Network(), features, rows,
+                                         {.max_bins = pin.max_bins}, executor,
+                                         ranks);
+      ASSERT_TRUE(index.ok()) << index.status().ToString();
+      const uint64_t hash = HashBins(*index, features);
+      EXPECT_EQ(hash, pin.hash) << "bins hash to 0x" << std::hex << hash;
+      if (pin.rows == PinRows::kWithoutExtremes) {
+        EXPECT_GT(RowsAboveLastCut(*index, features), 0u);
+      }
     }
   }
 }
