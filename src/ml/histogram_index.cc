@@ -61,13 +61,18 @@ void BinNumeric(const data::Column& col,
     while (bin + 1 < cuts.size() && cuts[bin] < k) ++bin;
     bin_of[k] = static_cast<uint16_t>(bin);
   }
-  out->upper.resize(cuts.size());
   for (size_t r = 0; r < col.size(); ++r) {
     const uint32_t k = ranks.rank[r];
-    if (k == FeatureIndex::kMissingRank) continue;
-    const uint16_t code = bin_of[k];
-    out->codes[r] = code;
-    if (cuts[code] == k) out->upper[code] = col.NumericAt(r);
+    if (k != FeatureIndex::kMissingRank) out->codes[r] = bin_of[k];
+  }
+  // Every cut's rank is held by a build row, so the cut values come from
+  // build rows alone (-0.0 and +0.0 share a rank but print differently).
+  out->upper.resize(cuts.size());
+  for (size_t r : rows) {
+    const uint32_t k = ranks.rank[r];
+    if (k != FeatureIndex::kMissingRank && cuts[bin_of[k]] == k) {
+      out->upper[bin_of[k]] = col.NumericAt(r);
+    }
   }
 }
 

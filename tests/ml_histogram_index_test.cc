@@ -64,6 +64,33 @@ TEST(HistogramIndexTest, HeavilyTiedColumnCollapsesToFewBins) {
   }
 }
 
+TEST(HistogramIndexTest, CutValuesComeFromBuildRowsOnly) {
+  // -0.0 and +0.0 compare equal, so they share a rank and a bin; the cut
+  // must still carry the build row's zero, not the left-out row's.
+  const std::vector<size_t> rows = {0, 2};
+  for (const std::vector<double>& x : {std::vector<double>{0.0, -0.0, 1.0},
+                                        std::vector<double>{-0.0, 0.0, 1.0}}) {
+    data::Dataset ds;
+    ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
+    const std::vector<FeatureRef> features = NumericFeature(ds, 0, "x");
+    auto feature_index = FeatureIndex::Build(ds, features);
+    ASSERT_TRUE(feature_index.ok());
+    for (const FeatureIndex* ranks :
+         {static_cast<const FeatureIndex*>(nullptr),
+          static_cast<const FeatureIndex*>(&*feature_index)}) {
+      SCOPED_TRACE(std::string(ranks ? "FeatureIndex ranks" : "in place") +
+                   (std::signbit(x[0]) ? ", build -0.0" : ", build +0.0"));
+      auto index = HistogramIndex::Build(ds, features, rows, {.max_bins = 8},
+                                         nullptr, ranks);
+      ASSERT_TRUE(index.ok());
+      const HistogramIndex::FeatureBins& bins = index->ColumnBins(0);
+      ASSERT_EQ(bins.upper, (std::vector<double>{0.0, 1.0}));
+      EXPECT_EQ(std::signbit(bins.upper[0]), std::signbit(x[0]));
+      EXPECT_EQ(bins.codes, (std::vector<uint16_t>{0, 0, 1}));
+    }
+  }
+}
+
 TEST(HistogramIndexTest, AllMissingColumnIsConstantWithMissingCodes) {
   data::Dataset ds;
   ASSERT_TRUE(

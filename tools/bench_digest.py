@@ -2,7 +2,8 @@
 """Digest the stdout of every reproduction bench in a build tree.
 
 Runs each `bench/table*`, `bench/figure*` and `bench/ablation*` binary of
-a build directory with no arguments and prints one line per binary:
+a build directory with no arguments, one after another, and prints one
+line per binary:
 
     <binary> <sha256 of its stdout> <exit code>
 
@@ -18,7 +19,6 @@ Uses the standard library only.
 """
 
 import argparse
-import concurrent.futures
 import hashlib
 import os
 import subprocess
@@ -54,22 +54,17 @@ def digest(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("build_dir", help="CMake build directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="benches to run at once (default 1)")
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
     benches = find_benches(args.build_dir)
     if not benches:
         print("no table*, figure* or ablation* binaries under %s/bench"
               % args.build_dir, file=sys.stderr)
         return 1
-    with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-        results = list(pool.map(digest, benches))
     failed = 0
-    for path, (sha, code) in zip(benches, results):
-        print("%s %s %d" % (os.path.basename(path), sha, code))
+    for path in benches:
+        sha, code = digest(path)
+        print("%s %s %d" % (os.path.basename(path), sha, code), flush=True)
         failed += code != 0
     if failed:
         print("%d of %d benches failed" % (failed, len(benches)),
