@@ -569,6 +569,7 @@ util::Status PagedDataset::PageStream::Reset() {
 util::Result<const Dataset*> PagedDataset::PageStream::Next() {
   if (next_index_ >= dataset_->num_pages()) {
     DrainPrefetch();
+    current_ = Dataset();
     return static_cast<const Dataset*>(nullptr);
   }
   if (prefetch_ != nullptr && prefetch_->index == next_index_) {
@@ -585,6 +586,9 @@ util::Result<const Dataset*> PagedDataset::PageStream::Next() {
     prefetch_.reset();
   } else {
     DrainPrefetch();
+    // The caller's previous page is void from this call on: drop it
+    // before reading, so a serial stream holds one page.
+    current_ = Dataset();
     auto page = dataset_->ReadPage(next_index_);
     if (!page.ok()) return page.status();
     current_ = std::move(*page);

@@ -41,7 +41,8 @@ namespace roadmine::data {
 
 struct PagedDatasetOptions {
   // Rows per page file. Bounds the resident set of every paged
-  // consumer: a reader holds one page (two with prefetch) at a time.
+  // consumer: a reader holds one page at a time (two with prefetch:
+  // the one it consumes and the one a worker reads).
   size_t page_rows = 65536;
 };
 
@@ -108,10 +109,12 @@ class PagedDataset {
   // to the "data.page.bytes_read" counter.
   [[nodiscard]] util::Result<Dataset> ReadPage(size_t index) const;
 
-  // Sequential RowSource over the pages. With an executor, page i+1 is
-  // read on a worker while the caller consumes page i; Next() records its
-  // wait for a prefetched page as a "data.page.prefetch_wait" span. The
-  // stream (and any in-flight prefetch) must not outlive the PagedDataset.
+  // Sequential RowSource over the pages. Without an executor, Next()
+  // releases the previous page before it reads the next, so the stream
+  // holds one page. With one, page i+1 is read on a worker while the
+  // caller consumes page i; Next() records its wait for a prefetched page
+  // as a "data.page.prefetch_wait" span. The stream (and any in-flight
+  // prefetch) must not outlive the PagedDataset.
   class PageStream : public RowSource {
    public:
     PageStream(const PagedDataset* dataset, exec::Executor* executor)

@@ -54,7 +54,9 @@ struct TableSchema {
 // Contract:
 //   * schema() is fixed for the life of the source;
 //   * Next() returns the next chunk, or nullptr at end of stream; the
-//     returned pointer stays valid until the next Next()/Reset() call;
+//     returned pointer stays valid until the next Next()/Reset() call,
+//     whatever that call returns (a chunk, nullptr or an error), so a
+//     source may release a chunk before it produces the next;
 //   * Reset() rewinds to the first chunk so multi-pass consumers (two-
 //     pass encoder fits, per-tree training sweeps) can re-read;
 //   * TotalRowsHint() is the exact row count when the source knows it up

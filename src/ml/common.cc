@@ -28,16 +28,20 @@ Result<std::vector<int8_t>> ExtractBinaryLabels(
   return labels;
 }
 
-util::Status CheckFitRows(const std::vector<size_t>& rows, size_t num_rows) {
-  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+util::Status CheckRowRange(std::span<const size_t> rows, size_t num_rows) {
   for (size_t r : rows) {
     if (r >= num_rows) {
-      return InvalidArgumentError("fit row " + std::to_string(r) +
+      return InvalidArgumentError("row " + std::to_string(r) +
                                   " is past the dataset's " +
                                   std::to_string(num_rows) + " rows");
     }
   }
   return util::Status::Ok();
+}
+
+util::Status CheckFitRows(const std::vector<size_t>& rows, size_t num_rows) {
+  if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
+  return CheckRowRange(rows, num_rows);
 }
 
 Result<std::vector<double>> ExtractNumericTarget(

@@ -4,6 +4,7 @@
 #define ROADMINE_ML_COMMON_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,12 @@ namespace roadmine::ml {
 // with no missing values.
 [[nodiscard]] util::Result<std::vector<double>> ExtractNumericTarget(
     const data::Dataset& dataset, const std::string& target_column);
+
+// Validates row ids against the dataset they index: any id >=
+// `num_rows` is an InvalidArgumentError; an empty list is valid. Scoring
+// paths call it before reading a column at a caller's row id.
+[[nodiscard]] util::Status CheckRowRange(std::span<const size_t> rows,
+                                         size_t num_rows);
 
 // Validates a fit's row list against the dataset it indexes: an empty
 // list, or any row id >= `num_rows`, is an InvalidArgumentError. Every

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -19,8 +21,11 @@ namespace {
 
 constexpr char kSerializationHeader[] = "roadmine-flat-model v1";
 
-// Rows per PredictBatch block: 64 rows of every split feature stay in L1.
+// Rows per PredictBatch block: 64 rows of every plan column stay in L1.
 constexpr size_t kBlockRows = 64;
+
+// Rows that walk one tree together in the block kernel.
+constexpr size_t kLanes = 8;
 
 const char* KindName(FlatModel::Kind kind) {
   switch (kind) {
@@ -281,30 +286,101 @@ Result<FlatModel::ResolvedColumns> FlatModel::ResolveColumns(
 }
 
 Status FlatModel::Link() {
+  // One breadth-first pass per tree lays out the kernel: a node's kernel
+  // index is its position in kernel_node_, and a split's two children are
+  // queued together, so they sit side by side.
   std::vector<uint8_t> reached(steps_.size(), 0);
-  std::vector<std::pair<int32_t, int32_t>> pending;  // (node, its depth)
+  std::vector<int32_t> depth_of;  // Parallel to kernel_node_.
+  kernel_.clear();
+  kernel_root_.clear();
+  kernel_leaf_.clear();
+  kernel_node_.clear();
+  gather_.clear();
+  gather_masks_.clear();
+  const auto enqueue = [&](int32_t id, int32_t depth) -> Status {
+    if (reached[static_cast<size_t>(id)] != 0) {
+      return InvalidArgumentError("node " + std::to_string(id) +
+                                  " is reached twice: the nodes do not "
+                                  "form trees");
+    }
+    reached[static_cast<size_t>(id)] = 1;
+    kernel_node_.push_back(id);
+    depth_of.push_back(depth);
+    return Status::Ok();
+  };
   depth_.assign(roots_.size(), 0);
   if (kind_ == Kind::kM5Tree) parent_.assign(steps_.size(), kInvalid);
+  // Numeric block columns are keyed by (slot, missing direction);
+  // categorical ones also by the mask trimmed after its highest set bit,
+  // so splits that route every code alike share one.
+  using ColumnKey = std::tuple<int32_t, uint8_t, bool, std::vector<uint64_t>>;
+  std::map<ColumnKey, int32_t> column_of;
   for (size_t t = 0; t < roots_.size(); ++t) {
-    pending.emplace_back(roots_[t], 0);
-    while (!pending.empty()) {
-      const auto [id, depth] = pending.back();
-      pending.pop_back();
-      if (reached[static_cast<size_t>(id)] != 0) {
-        return InvalidArgumentError("node " + std::to_string(id) +
-                                    " is reached twice: the nodes do not "
-                                    "form trees");
-      }
-      reached[static_cast<size_t>(id)] = 1;
+    kernel_root_.push_back(static_cast<int32_t>(kernel_node_.size()));
+    ROADMINE_RETURN_IF_ERROR(enqueue(roots_[t], 0));
+    for (size_t k = kernel_.size(); k < kernel_node_.size(); ++k) {
+      const int32_t id = kernel_node_[k];
       const Step& step = steps_[static_cast<size_t>(id)];
+      KernelStep out;
       if (step.leaf != 0) {
-        depth_[t] = std::max(depth_[t], depth);
+        depth_[t] = std::max(depth_[t], depth_of[k]);
+        out.threshold = std::numeric_limits<double>::infinity();
+        out.left = static_cast<int32_t>(k);
+        kernel_.push_back(out);
+        kernel_leaf_.push_back(leaf_value_[static_cast<size_t>(id)]);
         continue;
       }
-      for (const int32_t child : step.child) {
+      out.left = static_cast<int32_t>(kernel_node_.size());
+      for (const int32_t child : {step.child[1], step.child[0]}) {
         if (!parent_.empty()) parent_[static_cast<size_t>(child)] = id;
-        pending.emplace_back(child, depth + 1);
+        ROADMINE_RETURN_IF_ERROR(enqueue(child, depth_of[k] + 1));
       }
+      const bool categorical = step.mask_offset != kInvalid;
+      std::vector<uint64_t> mask;
+      if (categorical) {
+        const size_t offset = static_cast<size_t>(step.mask_offset);
+        for (size_t bit = 0; bit < static_cast<size_t>(step.mask_nbits);
+             ++bit) {
+          if (((mask_words_[offset + bit / 64] >> (bit % 64)) & 1) != 0) {
+            mask.resize(bit / 64 + 1, 0);
+            mask[bit / 64] |= uint64_t{1} << (bit % 64);
+          }
+        }
+        if (mask.empty()) mask.push_back(0);
+        out.threshold = 0.5;
+      } else {
+        // -inf stands for missing-left and +inf for missing-right, which
+        // `v <= threshold` routes as the source model does only for
+        // thresholds below +inf.
+        if (std::isnan(step.threshold) ||
+            step.threshold == std::numeric_limits<double>::infinity()) {
+          return InvalidArgumentError("node " + std::to_string(id) +
+                                      " has an unroutable threshold " +
+                                      ml::SerializeDouble(step.threshold));
+        }
+        out.threshold = step.threshold;
+      }
+      auto [it, added] = column_of.try_emplace(
+          ColumnKey{step.slot, step.missing_left, categorical, mask},
+          static_cast<int32_t>(gather_.size()));
+      if (added) {
+        GatherColumn column;
+        column.slot = step.slot;
+        column.missing_left = step.missing_left;
+        if (categorical) {
+          column.mask_offset = static_cast<int32_t>(gather_masks_.size());
+          column.mask_words = static_cast<int32_t>(mask.size());
+          gather_masks_.insert(gather_masks_.end(), mask.begin(), mask.end());
+        }
+        gather_.push_back(column);
+      }
+      if (it->second > std::numeric_limits<int32_t>::max() /
+                           static_cast<int32_t>(kBlockRows)) {
+        return InvalidArgumentError("too many distinct splits to lay out");
+      }
+      out.offset = it->second * static_cast<int32_t>(kBlockRows);
+      kernel_.push_back(out);
+      kernel_leaf_.push_back(0.0);
     }
   }
   return Status::Ok();
@@ -347,55 +423,71 @@ inline size_t FlatModel::FindLeaf(size_t t, const ResolvedColumns& columns,
   }
 }
 
-inline int FlatModel::GoesLeft(const Step& step, const double* values,
-                               size_t stride, size_t i) const {
-  const double v = values[static_cast<size_t>(step.slot) * stride + i];
-  if (step.mask_offset != kInvalid) [[unlikely]] {
-    return CategoryGoesLeft(step, static_cast<int32_t>(v)) ? 1 : 0;
-  }
-  return static_cast<int>(v <= step.threshold) |
-         (static_cast<int>(std::isnan(v)) & step.missing_left);
-}
-
-inline void FlatModel::DescendBlock(size_t t, const double* values,
-                                    size_t stride, size_t n,
-                                    int32_t* node) const {
-  const Step* steps = steps_.data();
-  // One level for one row: the routing bit indexes the child, and a leaf
-  // steps to itself.
-  const auto next = [&](int32_t id, size_t i) {
-    const Step& step = steps[id];
-    return step.child[GoesLeft(step, values, stride, i)];
-  };
-  std::fill(node, node + n, roots_[t]);
-  for (int32_t level = 0; level < depth_[t]; ++level) {
-    // Four independent rows per iteration keep several descents in flight.
-    for (size_t i = 0; i < n; i += 4) {
-      const int32_t a = next(node[i], i);
-      const int32_t b = next(node[i + 1], i + 1);
-      const int32_t c = next(node[i + 2], i + 2);
-      const int32_t d = next(node[i + 3], i + 3);
-      node[i] = a;
-      node[i + 1] = b;
-      node[i + 2] = c;
-      node[i + 3] = d;
+void FlatModel::Gather(const ResolvedColumns& columns, const size_t* block,
+                       size_t n, size_t stride, double* values) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < gather_.size(); ++c) {
+    const GatherColumn& column = gather_[c];
+    const data::Column& col =
+        *columns.split_columns[static_cast<size_t>(column.slot)];
+    double* dst = values + c * stride;
+    // NaN (data::Column's numeric missing encoding) becomes -inf where
+    // missing goes left and +inf where it goes right. The copy and the
+    // NaN pass are separate loops, so the pass runs without a branch on
+    // whole vectors of the block.
+    if (column.mask_offset == kInvalid) {
+      const double missing = column.missing_left != 0 ? -kInf : kInf;
+      const double* src = col.numeric_values().data();
+      for (size_t i = 0; i < n; ++i) dst[i] = src[block[i]];
+      for (size_t i = 0; i < n; ++i) {
+        dst[i] = std::isnan(dst[i]) ? missing : dst[i];
+      }
+      continue;
+    }
+    // A categorical routing bit: codes past the trimmed mask, and negative
+    // (missing) codes, read no mask bit; missing codes then take the
+    // missing direction.
+    const uint64_t* mask = gather_masks_.data() + column.mask_offset;
+    const uint32_t limit = static_cast<uint32_t>(column.mask_words) * 64;
+    const uint32_t missing_left = column.missing_left;
+    const int32_t* src = col.codes().data();
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t code = static_cast<uint32_t>(src[block[i]]);
+      const uint32_t in = code < limit ? 1 : 0;
+      const uint64_t word = mask[(code / 64) & (0u - in)];
+      const uint32_t left = (static_cast<uint32_t>(word >> (code % 64)) & in) |
+                            ((code >> 31) & missing_left);
+      dst[i] = static_cast<double>(left ^ 1);
     }
   }
 }
 
-inline int32_t FlatModel::WalkRow(size_t t, const double* values,
-                                  size_t stride, size_t i) const {
-  int32_t id = roots_[t];
-  while (steps_[static_cast<size_t>(id)].leaf == 0) {
-    const Step& step = steps_[static_cast<size_t>(id)];
-    // [[likely]] keeps this a branch rather than a select.
-    if (GoesLeft(step, values, stride, i) != 0) [[likely]] {
-      id = step.child[1];
-    } else {
-      id = step.child[0];
+// Out of line on purpose: with `lanes` a parameter, the compiler reads
+// the eight rows as fixed displacements from one pointer rather than
+// carrying eight induction variables through the level loop. Aligned to
+// a cache line, so where unrelated code puts it does not change how its
+// loop falls across lines.
+[[gnu::noinline, gnu::aligned(64)]] void FlatModel::DescendGroup(
+    size_t trees, const double* lanes, double* sum, int32_t* leaf) const {
+  const KernelStep* steps = kernel_.data();
+  int32_t id[kLanes];
+  for (size_t t = 0; t < trees; ++t) {
+    std::fill(id, id + kLanes, kernel_root_[t]);
+    for (int32_t level = 0; level < depth_[t]; ++level) {
+#pragma GCC unroll 8
+      for (size_t k = 0; k < kLanes; ++k) {
+        const KernelStep& step = steps[id[k]];
+        id[k] = step.left + (lanes[static_cast<size_t>(step.offset) + k] <=
+                                     step.threshold
+                                 ? 0
+                                 : 1);
+      }
+    }
+    for (size_t k = 0; k < kLanes; ++k) {
+      sum[k] += kernel_leaf_[static_cast<size_t>(id[k])];
     }
   }
-  return id;
+  std::copy(id, id + kLanes, leaf);
 }
 
 double FlatModel::LeafModel(size_t leaf, const ResolvedColumns& columns,
@@ -416,6 +508,7 @@ Result<double> FlatModel::PredictRow(const data::Dataset& dataset,
   if (!compiled()) return util::FailedPreconditionError("model not compiled");
   auto columns = ResolveColumns(dataset);
   if (!columns.ok()) return columns.status();
+  ROADMINE_RETURN_IF_ERROR(ml::CheckRowRange({&row, 1}, dataset.num_rows()));
   switch (kind_) {
     case Kind::kDecisionTree:
     case Kind::kRegressionTree:
@@ -460,26 +553,30 @@ Result<std::vector<double>> FlatModel::PredictBatch(
   if (!compiled()) return util::FailedPreconditionError("model not compiled");
   auto columns = ResolveColumns(dataset);
   if (!columns.ok()) return columns.status();
+  ROADMINE_RETURN_IF_ERROR(ml::CheckRowRange(rows, dataset.num_rows()));
   std::vector<double> out(rows.size());
   if (rows.empty()) return out;
 
-  // One column of block values per split feature (at least one: leaf
-  // steps read slot 0), each min(rows, kBlockRows) long.
-  const size_t stride = std::min(rows.size(), kBlockRows);
-  std::vector<double> values(std::max<size_t>(1, features_.size()) * stride,
+  // The plan's block columns, at least one: leaf steps read column 0,
+  // which must never hold NaN. They are kBlockRows long, the stride the
+  // kernel steps' offsets assume, once a batch fills a group of eight;
+  // shorter batches only walk rows alone and keep `rows`-long columns.
+  const size_t stride = rows.size() < kLanes ? rows.size() : kBlockRows;
+  std::vector<double> values(std::max<size_t>(1, gather_.size()) * stride,
                              0.0);
-  int32_t node[kBlockRows];
+  const KernelStep* steps = kernel_.data();
+  int32_t leaf[kBlockRows];
   double sum[kBlockRows];
   const bool ensemble = kind_ == Kind::kBaggedTrees || kind_ == Kind::kGbt;
   const size_t trees = ensemble ? roots_.size() : 1;
   const double start = kind_ == Kind::kGbt ? base_score_ : 0.0;
-  // A row's score from its leaf-value sum (ensembles) or its leaf
+  // A row's score from its leaf-value sum (ensembles) or its kernel leaf
   // (single-tree kinds; M5 evaluates the leaf model at `row`).
-  const auto finish = [&](double total, int32_t leaf, size_t row) {
+  const auto finish = [&](double total, int32_t kernel_leaf, size_t row) {
     switch (kind_) {
       case Kind::kDecisionTree:
       case Kind::kRegressionTree:
-        return leaf_value_[static_cast<size_t>(leaf)];
+        return kernel_leaf_[static_cast<size_t>(kernel_leaf)];
       case Kind::kBaggedTrees:
         return total / static_cast<double>(roots_.size());
       case Kind::kGbt:
@@ -487,11 +584,12 @@ Result<std::vector<double>> FlatModel::PredictBatch(
       case Kind::kM5Tree:
         break;
     }
-    double prediction = LeafModel(static_cast<size_t>(leaf), *columns, row);
+    const int32_t node = kernel_node_[static_cast<size_t>(kernel_leaf)];
+    double prediction = LeafModel(static_cast<size_t>(node), *columns, row);
     if (smoothing_ > 0.0) {
       // Quinlan smoothing from the leaf up: the path FindLeaf records,
       // walked in the same order.
-      for (int32_t child = leaf, parent;
+      for (int32_t child = node, parent;
            (parent = parent_[static_cast<size_t>(child)]) != kInvalid;
            child = parent) {
         const double count = node_n_[static_cast<size_t>(child)];
@@ -505,48 +603,39 @@ Result<std::vector<double>> FlatModel::PredictBatch(
   for (size_t begin = 0; begin < rows.size(); begin += kBlockRows) {
     const size_t n = std::min(kBlockRows, rows.size() - begin);
     const size_t* block = rows.data() + begin;
-    // Gather column-major; categorical codes ride along as doubles
-    // (exact), negative still meaning missing.
-    for (size_t f = 0; f < features_.size(); ++f) {
-      const data::Column& col = *columns->split_columns[f];
-      double* dst = values.data() + f * stride;
-      if (col.type() == data::ColumnType::kNumeric) {
-        const double* src = col.numeric_values().data();
-        for (size_t i = 0; i < n; ++i) dst[i] = src[block[i]];
-      } else {
-        const int32_t* src = col.codes().data();
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] = static_cast<double>(src[block[i]]);
-        }
-      }
+    Gather(*columns, block, n, stride, values.data());
+    // Each row starts from the base score (0 for bagging) and adds leaf
+    // values in member order — the source ensembles' own expression, so
+    // every sum rounds identically.
+    const size_t grouped = n - n % kLanes;
+    std::fill(sum, sum + grouped, start);
+    for (size_t i = 0; i < grouped; i += kLanes) {
+      DescendGroup(trees, values.data() + i, sum + i, leaf + i);
     }
-    // Groups of four rows go through the block kernel; the rest (all of a
-    // one-row request) walk alone, summing in a register: a lone row is one
-    // dependent chain, which gains more from speculating down a child than
-    // from the arithmetic pick. Either way each row starts from the base
-    // score (0 for bagging) and adds leaf values in member order — the
-    // source ensembles' own expression, so every sum rounds identically.
-    const size_t grouped = n - n % 4;
-    if (grouped > 0) {
-      std::fill(sum, sum + grouped, start);
-      for (size_t t = 0; t < trees; ++t) {
-        DescendBlock(t, values.data(), stride, grouped, node);
-        for (size_t i = 0; i < grouped; ++i) {
-          sum[i] += leaf_value_[static_cast<size_t>(node[i])];
-        }
-      }
-      for (size_t i = 0; i < grouped; ++i) {
-        out[begin + i] = finish(sum[i], node[i], block[i]);
-      }
+    for (size_t i = 0; i < grouped; ++i) {
+      out[begin + i] = finish(sum[i], leaf[i], block[i]);
     }
+    // The rest (all of a one-row request) walk alone, summing in a
+    // register: a lone row is one dependent chain, which gains more from
+    // speculating down a child than from the arithmetic pick.
     for (size_t i = grouped; i < n; ++i) {
       double total = start;
-      int32_t leaf = 0;
+      int32_t id = 0;
       for (size_t t = 0; t < trees; ++t) {
-        leaf = WalkRow(t, values.data(), stride, i);
-        total += leaf_value_[static_cast<size_t>(leaf)];
+        id = kernel_root_[t];
+        for (int32_t level = 0; level < depth_[t]; ++level) {
+          const KernelStep& step = steps[id];
+          const size_t column = static_cast<size_t>(step.offset) / kBlockRows;
+          // [[likely]] keeps this a branch rather than a select.
+          if (values[column * stride + i] <= step.threshold) [[likely]] {
+            id = step.left;
+          } else {
+            id = step.left + 1;
+          }
+        }
+        total += kernel_leaf_[static_cast<size_t>(id)];
       }
-      out[begin + i] = finish(total, leaf, block[i]);
+      out[begin + i] = finish(total, id, block[i]);
     }
   }
   return out;

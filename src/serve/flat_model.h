@@ -11,17 +11,25 @@
 // training objects. A leaf's step points to itself.
 //
 // Loading (CompileModel or Deserialize) links the pool once: it rejects
-// nodes that do not form trees and records each tree's depth (and, for
-// M5, each node's parent). PredictBatch then scores blocks of up to 64
-// rows: it gathers each split feature's values for the block column by
-// column, and for each tree in member order advances every row one level
-// at a time for that tree's depth, picking the child arithmetically from
-// (v <= threshold) | (isnan(v) & missing_left), four rows in flight.
-// Categorical splits test their mask behind a rarely taken branch. Rows
-// outside the groups of four (all of a one-row request) walk alone with a
-// branch per node, which suits a single dependent chain. PredictRow
-// descends one row with per-node branches (FindLeaf), the independent
-// reference.
+// nodes that do not form trees and numeric thresholds the block kernel
+// cannot route (NaN, +inf), records each tree's depth (and, for M5, each
+// node's parent), and builds a gather plan. The plan has one block column
+// per (numeric split feature, missing direction), holding the values with
+// NaN gathered as -inf where missing goes left and +inf where it goes
+// right, and one per distinct (categorical feature, mask, missing
+// direction), holding the split's routing bit as 0.0 (left) or 1.0
+// (right) under threshold 0.5. Every split is then one `value <=
+// threshold` test on one column, exactly the source model's routing for
+// any threshold that is finite or -inf.
+//
+// PredictBatch scores blocks of up to 64 rows: it gathers the plan's
+// columns for the block, then walks each group of eight rows through
+// every tree in member order, the eight together, picking each child
+// arithmetically from the comparison. Rows outside the groups of eight
+// (all of a one-row request) walk alone with a branch per level, which
+// suits a single dependent chain. PredictRow descends one row with
+// per-node branches over the source routing rules (FindLeaf), the
+// independent reference. Both reject row ids past the dataset.
 //
 // Equivalence guarantee: a FlatModel's predictions are bit-identical to
 // the source model's PredictBatch on every dataset — routing, Laplace leaf
@@ -63,13 +71,14 @@ class FlatModel : public ml::Predictor {
   // Scores one row (probability for classifiers, value for regressors).
   // The dataset must pass the same schema check as PredictBatch; this
   // single-row path re-resolves columns per call and exists for
-  // latency-sensitive one-off scoring.
+  // latency-sensitive one-off scoring. A row past the dataset is
+  // InvalidArgument.
   [[nodiscard]] util::Result<double> PredictRow(const data::Dataset& dataset,
                                   size_t row) const;
 
   // Predictor: scores many rows in order. Resolves the feature schema
-  // against `dataset` once per batch, then scores 64-row blocks through
-  // the step pool.
+  // against `dataset` once per batch, rejects any row past the dataset
+  // (InvalidArgument), then scores 64-row blocks through the gather plan.
   [[nodiscard]] util::Result<std::vector<double>> PredictBatch(
       const data::Dataset& dataset,
       const std::vector<size_t>& rows) const override;
@@ -88,6 +97,8 @@ class FlatModel : public ml::Predictor {
 
  private:
   friend class FlatModelCompiler;  // Builds the pools during CompileModel().
+  // Tests set thresholds that no model file or training run can carry.
+  friend class FlatModelTestPeer;
   friend util::Result<FlatModel> CompileModel(
       const ml::DecisionTreeClassifier& model);
   friend util::Result<FlatModel> CompileModel(
@@ -108,7 +119,7 @@ class FlatModel : public ml::Predictor {
 
   static constexpr int32_t kInvalid = -1;
 
-  // One node of the pool, packed for the block descent.
+  // One node of the pool, as the model file describes it.
   struct Step {
     double threshold = 0.0;           // Numeric split threshold.
     int32_t child[2] = {0, 0};        // {right, left}; a leaf's are itself.
@@ -120,9 +131,34 @@ class FlatModel : public ml::Predictor {
     uint8_t leaf = 0;                 // 1 = leaf; its payload is leaf_value_.
   };
 
+  // One node as the block kernel reads it, in kernel order: breadth-first
+  // per tree, each split's children adjacent (left, then right). A row
+  // goes to `left` when its value in the block column at `offset` is <=
+  // threshold, else to `left + 1`. A leaf's threshold is +inf and its
+  // `left` is itself, so every row stays.
+  struct KernelStep {
+    double threshold = 0.0;
+    int32_t offset = 0;  // Block column index * 64, the kernel's stride.
+    int32_t left = 0;
+  };
+
+  // One column of the gathered block: split feature `slot`'s values with
+  // NaN resolved to `missing_left` (numeric), or one categorical split's
+  // routing bit. A categorical column's left-category mask is
+  // `mask_words` words at `mask_offset` in gather_masks_, trimmed after
+  // its highest set bit but at least one word long.
+  struct GatherColumn {
+    int32_t slot = 0;
+    uint8_t missing_left = 1;
+    int32_t mask_offset = kInvalid;  // kInvalid = numeric.
+    int32_t mask_words = 0;
+  };
+
   // Run once the pool is filled: rejects any node reached twice from the
-  // roots (a cycle, or a node shared between parents or trees), and
-  // records each tree's depth and, for M5, each node's parent.
+  // roots (a cycle, or a node shared between parents or trees) and any
+  // numeric split whose threshold is NaN or +inf, records each tree's
+  // depth and, for M5, each node's parent, and builds the gather plan
+  // and the kernel steps.
   [[nodiscard]] util::Status Link();
 
   // Categorical routing at split `step` (negative code = missing).
@@ -133,21 +169,16 @@ class FlatModel : public ml::Predictor {
   size_t FindLeaf(size_t t, const ResolvedColumns& columns, size_t row,
                   std::vector<size_t>* path) const;
 
-  // Routing bit of split `step` for row `i` of a gathered block
-  // (`values[slot * stride + i]`), without a data-dependent branch for
-  // numeric splits.
-  int GoesLeft(const Step& step, const double* values, size_t stride,
-               size_t i) const;
+  // Fills rows [0, n) of every plan column (`values[c * stride + i]`)
+  // from dataset rows `block[0, n)`.
+  void Gather(const ResolvedColumns& columns, const size_t* block, size_t n,
+              size_t stride, double* values) const;
 
-  // Advances rows [0, n) of a gathered block, `n` a multiple of four,
-  // through tree `t`, leaving each row's leaf in `node`.
-  void DescendBlock(size_t t, const double* values, size_t stride, size_t n,
-                    int32_t* node) const;
-
-  // Walks row `i` of a gathered block alone to its leaf in tree `t`, with
-  // a branch per node.
-  int32_t WalkRow(size_t t, const double* values, size_t stride,
-                  size_t i) const;
+  // Walks eight rows of a gathered 64-row-stride block, starting at
+  // `lanes`, through every tree scored: adds each tree's leaf payload to
+  // sum[0, 8) and leaves the last tree's kernel leaves in leaf[0, 8).
+  void DescendGroup(size_t trees, const double* lanes, double* sum,
+                    int32_t* leaf) const;
 
   // M5 leaf linear model at `row` (NaN features skipped), or the leaf mean.
   double LeafModel(size_t leaf, const ResolvedColumns& columns,
@@ -168,6 +199,17 @@ class FlatModel : public ml::Predictor {
   // tree's depth in edges (set by Link()).
   std::vector<int32_t> roots_;
   std::vector<int32_t> depth_;
+
+  // Gather plan and kernel (set by Link()): the block columns and their
+  // trimmed category masks; the kernel steps with each tree's root, and
+  // per kernel step its leaf payload (0 for a split) and its node in
+  // steps_.
+  std::vector<GatherColumn> gather_;
+  std::vector<uint64_t> gather_masks_;
+  std::vector<KernelStep> kernel_;
+  std::vector<int32_t> kernel_root_;
+  std::vector<double> kernel_leaf_;
+  std::vector<int32_t> kernel_node_;
 
   // M5 extras (empty for the other kinds).
   std::vector<double> node_mean_;      // Per-node training mean.

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "exec/executor.h"
+#include "ml/common.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/top_k.h"
@@ -106,6 +107,7 @@ Result<std::vector<double>> ScoringService::ScoreBatch(
 
   auto entry = Lookup(name, version);
   if (!entry.ok()) return entry.status();
+  ROADMINE_RETURN_IF_ERROR(ml::CheckRowRange(rows, dataset.num_rows()));
   std::vector<double> scores;
   ROADMINE_RETURN_IF_ERROR(ShardedScore(options_.executor, *entry->model,
                                         dataset, rows, &scores));

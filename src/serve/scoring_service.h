@@ -72,7 +72,9 @@ class ScoringService {
   std::vector<ModelInfo> List() const;
 
   // Scores `rows` of `dataset` through the named model, sharding the batch
-  // over the service's executor. Instrumented with obs spans and the
+  // over the service's executor. A row id past the dataset is
+  // InvalidArgument, returned before any model reads a row. Instrumented
+  // with obs spans and the
   // serve.requests / serve.rows_scored / serve.score_batch_ms metrics;
   // also feeds the model's SLO tracker (serve.slo_breaches counts every
   // newly breached objective process-wide).

@@ -1,7 +1,9 @@
 // FlatModel equivalence enforcement: compiled predictions must be
 // bit-identical to the source model on every dataset and row list (partial,
-// reversed and repeated 64-row blocks included), including missing values
-// and categorical splits, and invariant to the scoring thread count.
+// reversed and repeated 64-row blocks included), including missing values,
+// infinities and categorical splits, and invariant to the scoring thread
+// count. Row ids past the dataset and thresholds the block kernel cannot
+// route are rejected.
 #include "serve/flat_model.h"
 
 #include <algorithm>
@@ -9,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +30,29 @@
 #include "util/string_util.h"
 
 namespace roadmine::serve {
+
+// Reaches the pool of a compiled model to set thresholds that no model
+// file or training run can carry.
+class FlatModelTestPeer {
+ public:
+  // The first numeric split in pool order, or node_count() if none.
+  static size_t FirstNumericSplit(const FlatModel& model) {
+    for (size_t id = 0; id < model.steps_.size(); ++id) {
+      const FlatModel::Step& step = model.steps_[id];
+      if (step.leaf == 0 && step.mask_offset == FlatModel::kInvalid) {
+        return id;
+      }
+    }
+    return model.steps_.size();
+  }
+
+  // Sets split `node`'s threshold and links the pool again.
+  static util::Status Relink(FlatModel& model, size_t node, double threshold) {
+    model.steps_[node].threshold = threshold;
+    return model.Link();
+  }
+};
+
 namespace {
 
 // Segment inventory with the generator's natural missingness (f60) and
@@ -241,6 +267,191 @@ TEST(FlatModelTest, HandRolledMissingAndCategoricalBitIdentity) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*want, *got);
   ExpectSameScores(tree, *flat, ds);
+}
+
+// Numeric columns holding -inf, +inf and -0.0 beside NaN. `x` is -inf
+// exactly where y is 1 (and NaN where y is `missing_label`), so a tree's
+// first split falls between -inf and the next value: threshold
+// SplitMidpoint(-inf, v) = -inf, with missing rows sent to the side whose
+// mean they match. +inf rows (y 1 half the time) give later splits.
+data::Dataset NonFiniteDataset(double missing_label, uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Rng rng(seed);
+  std::vector<double> x, z, y;
+  for (size_t i = 0; i < 400; ++i) {
+    double xi = rng.Uniform(-5.0, 5.0);
+    double yi = 0.0;
+    switch (i % 8) {
+      case 0:
+        xi = -kInf;
+        yi = 1.0;
+        break;
+      case 1:
+        xi = std::numeric_limits<double>::quiet_NaN();
+        yi = missing_label;
+        break;
+      case 2:
+        xi = kInf;
+        yi = rng.Bernoulli(0.5) ? 1.0 : 0.0;
+        break;
+      case 3:
+        xi = -0.0;
+        break;
+      case 4:
+        xi = 0.0;
+        break;
+    }
+    x.push_back(xi);
+    const double zi = rng.Uniform(0.0, 1.0);
+    z.push_back(zi < 0.1 ? -kInf : (zi > 0.9 ? kInf : zi));
+    y.push_back(yi);
+  }
+  data::Dataset ds;
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("z", z)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
+  return ds;
+}
+
+// (missing direction, threshold) of every numeric split in `flat`'s text.
+std::vector<std::pair<int, double>> NumericSplits(const FlatModel& flat) {
+  std::vector<std::pair<int, double>> splits;
+  for (const std::string& line : util::Split(flat.Serialize(), '\n')) {
+    const std::vector<std::string> parts = util::Split(line, '\t');
+    if (parts.size() != 11 || parts[0] != "node" || parts[1] == "-1" ||
+        parts[10] != "-") {
+      continue;
+    }
+    // %.17g writes -inf as "-inf", which util::ParseDouble refuses.
+    const double threshold = parts[2] == "-inf"
+                                 ? -std::numeric_limits<double>::infinity()
+                                 : std::stod(parts[2]);
+    splits.emplace_back(std::stoi(parts[3]), threshold);
+  }
+  return splits;
+}
+
+// Flat PredictBatch equals the source model's PredictBatch and PredictRow
+// on every row, for consecutive batches of `batch` rows.
+void ExpectSameScoresInBatches(const ml::Predictor& source,
+                               const FlatModel& flat,
+                               const data::Dataset& ds, size_t batch) {
+  for (size_t begin = 0; begin < ds.num_rows(); begin += batch) {
+    std::vector<size_t> rows;
+    for (size_t r = begin; r < std::min(ds.num_rows(), begin + batch); ++r) {
+      rows.push_back(r);
+    }
+    auto want = source.PredictBatch(ds, rows);
+    auto got = flat.PredictBatch(ds, rows);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(*want, *got) << batch << "-row batch at row " << begin;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      auto one = flat.PredictRow(ds, rows[i]);
+      ASSERT_TRUE(one.ok());
+      ASSERT_EQ(*one, (*got)[i]) << "row " << rows[i];
+    }
+  }
+}
+
+TEST(FlatModelTest, InfinitiesAndNegativeZeroRouteLikeTheSourceModel) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::string> features = {"x", "z"};
+  for (const double missing_label : {1.0, 0.0}) {
+    SCOPED_TRACE(missing_label);
+    const data::Dataset ds = NonFiniteDataset(missing_label, 11);
+    // Missing rows share the -inf rows' label (1) or the rest's (0), so
+    // the -inf split sends them left or right.
+    const std::pair<int, double> root_split = {missing_label == 1.0 ? 1 : 0,
+                                               -kInf};
+
+    ml::DecisionTreeClassifier dt{
+        ml::DecisionTreeParams{.min_samples_leaf = 5}};
+    ASSERT_TRUE(dt.Fit(ds, "y", features, ds.AllRowIndices()).ok());
+    auto flat_dt = CompileModel(dt);
+    ASSERT_TRUE(flat_dt.ok());
+    const auto dt_splits = NumericSplits(*flat_dt);
+    ASSERT_FALSE(dt_splits.empty());
+    EXPECT_EQ(dt_splits.front(), root_split);
+
+    ml::RegressionTree rt{ml::RegressionTreeParams{.min_samples_leaf = 5}};
+    ASSERT_TRUE(rt.Fit(ds, "y", features, ds.AllRowIndices()).ok());
+    auto flat_rt = CompileModel(rt);
+    ASSERT_TRUE(flat_rt.ok());
+    const auto rt_splits = NumericSplits(*flat_rt);
+    ASSERT_FALSE(rt_splits.empty());
+    EXPECT_EQ(rt_splits.front(), root_split);
+
+    ml::GradientBoostedTreesParams params;
+    params.num_trees = 6;
+    params.max_depth = 3;
+    ml::GradientBoostedTrees gbt(params);
+    ASSERT_TRUE(gbt.Fit(ds, "y", features, ds.AllRowIndices()).ok());
+    auto flat_gbt = CompileModel(gbt);
+    ASSERT_TRUE(flat_gbt.ok());
+    const auto gbt_splits = NumericSplits(*flat_gbt);
+    EXPECT_TRUE(std::any_of(gbt_splits.begin(), gbt_splits.end(),
+                            [](const std::pair<int, double>& split) {
+                              return split.second == -kInf;
+                            }));
+
+    for (size_t batch : {1u, 5u, 64u, 65u}) {
+      ExpectSameScoresInBatches(dt, *flat_dt, ds, batch);
+      ExpectSameScoresInBatches(rt, *flat_rt, ds, batch);
+      ExpectSameScoresInBatches(gbt, *flat_gbt, ds, batch);
+    }
+  }
+}
+
+TEST(FlatModelTest, LinkRejectsThresholdsTheKernelCannotRoute) {
+  const data::Dataset ds = NonFiniteDataset(1.0, 11);
+  ml::DecisionTreeClassifier dt{
+      ml::DecisionTreeParams{.min_samples_leaf = 5}};
+  ASSERT_TRUE(dt.Fit(ds, "y", {"x", "z"}, ds.AllRowIndices()).ok());
+  auto flat = CompileModel(dt);
+  ASSERT_TRUE(flat.ok());
+  const size_t split = FlatModelTestPeer::FirstNumericSplit(*flat);
+  ASSERT_LT(split, flat->node_count());
+  for (const double threshold : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(FlatModelTestPeer::Relink(*flat, split, threshold).code(),
+              util::StatusCode::kInvalidArgument)
+        << threshold;
+  }
+  for (const double threshold : {-std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::max(), 0.0}) {
+    EXPECT_TRUE(FlatModelTestPeer::Relink(*flat, split, threshold).ok())
+        << threshold;
+  }
+}
+
+TEST(FlatModelTest, RowsPastTheDatasetAreInvalidArgument) {
+  data::Dataset ds = RoadDataset(300, 19);
+  ml::GradientBoostedTreesParams params;
+  params.num_trees = 3;
+  params.max_depth = 3;
+  ml::GradientBoostedTrees gbt(params);
+  ASSERT_TRUE(gbt.Fit(ds, core::ThresholdTargetName(4),
+                      roadgen::RoadAttributeColumns(), ds.AllRowIndices())
+                  .ok());
+  auto flat = CompileModel(gbt);
+  ASSERT_TRUE(flat.ok());
+  const size_t n = ds.num_rows();
+  for (const size_t past : {n, n + (size_t{1} << 40)}) {
+    EXPECT_EQ(flat->PredictRow(ds, past).status().code(),
+              util::StatusCode::kInvalidArgument);
+    for (const std::vector<size_t>& rows :
+         {std::vector<size_t>{past}, std::vector<size_t>{0, 1, past},
+          std::vector<size_t>(70, past)}) {
+      EXPECT_EQ(flat->PredictBatch(ds, rows).status().code(),
+                util::StatusCode::kInvalidArgument)
+          << rows.size() << " rows";
+    }
+  }
+  auto empty = flat->PredictBatch(ds, {});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  EXPECT_TRUE(flat->PredictRow(ds, n - 1).ok());
 }
 
 TEST(FlatModelTest, CompiledFormSurvivesItsOwnRoundTrip) {

@@ -1,6 +1,6 @@
 // ScoringService registry semantics and batch scoring: duplicate keys,
-// latest-version lookup, serial-vs-threaded bit-identity, and error
-// propagation out of the sharded model calls.
+// latest-version lookup, serial-vs-threaded bit-identity, row ids past the
+// dataset, and error propagation out of the sharded model calls.
 #include "serve/scoring_service.h"
 
 #include <memory>
@@ -130,6 +130,26 @@ TEST(ScoringServiceTest, EmptyBatchScoresToEmpty) {
   auto scores = service.ScoreBatch("m", "v1", ds, {});
   ASSERT_TRUE(scores.ok());
   EXPECT_TRUE(scores->empty());
+}
+
+TEST(ScoringServiceTest, RowsPastTheDatasetAreInvalidArgument) {
+  // Checked before any model reads a row: the failing predictor would
+  // answer Internal if it were called.
+  data::Dataset ds = RoadDataset(400, 5);
+  ScoringService service;
+  ASSERT_TRUE(service.Register("m", "v1", FitTree(ds)).ok());
+  ASSERT_TRUE(
+      service.Register("bad", "v1", std::make_shared<FailingPredictor>())
+          .ok());
+  const size_t n = ds.num_rows();
+  for (const char* name : {"m", "bad"}) {
+    for (const size_t past : {n, n + 2, n + (size_t{1} << 40)}) {
+      auto scores = service.ScoreBatch(name, "v1", ds, {0, past});
+      EXPECT_EQ(scores.status().code(), util::StatusCode::kInvalidArgument)
+          << name << " row " << past;
+    }
+  }
+  EXPECT_TRUE(service.ScoreBatch("m", "v1", ds, {0, n - 1}).ok());
 }
 
 TEST(ScoringServiceTest, ModelErrorsPropagate) {
