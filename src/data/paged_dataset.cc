@@ -1,5 +1,9 @@
 #include "data/paged_dataset.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -533,7 +537,17 @@ Result<Dataset> PagedDataset::ReadPage(size_t index) const {
 // ---------------------------------------------------------------------------
 // PageStream
 
-PagedDataset::PageStream::~PageStream() { DrainPrefetch(); }
+PagedDataset::PageStream::~PageStream() {
+  DrainPrefetch();
+  current_ = Dataset();
+#if defined(__GLIBC__)
+  // glibc keeps freed blocks below its dynamic mmap threshold in the
+  // heap (pages too, once one page has been freed), and freed heap
+  // memory stays resident: without a trim, a finished scan's pages and
+  // its consumer's buffers stay in the process's resident set.
+  malloc_trim(0);
+#endif
+}
 
 void PagedDataset::PageStream::DrainPrefetch() {
   if (prefetch_ != nullptr) {

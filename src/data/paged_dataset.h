@@ -113,8 +113,11 @@ class PagedDataset {
   // releases the previous page before it reads the next, so the stream
   // holds one page. With one, page i+1 is read on a worker while the
   // caller consumes page i; Next() records its wait for a prefetched page
-  // as a "data.page.prefetch_wait" span. The stream (and any in-flight
-  // prefetch) must not outlive the PagedDataset.
+  // as a "data.page.prefetch_wait" span. Destroying the stream drops its
+  // page and, on glibc, returns the process's free heap memory to the
+  // operating system (malloc_trim), so a finished scan does not stay
+  // resident. The stream (and any in-flight prefetch) must not outlive
+  // the PagedDataset.
   class PageStream : public RowSource {
    public:
     PageStream(const PagedDataset* dataset, exec::Executor* executor)
