@@ -1,10 +1,11 @@
 // Pins for the boosted-tree growth engine behind GradientBoostedTrees::Fit
 // and FitPaged. Serialized models of four fits on a roadgen fixture
 // (categorical road_class / surface_type / terrain, low-cardinality
-// lane_count / speed_limit, missing f60 readings) are hashed and compared
-// against constants: the hashes must not move with thread count, chunk
-// grain, entry point, or code caching. A second test pins that Fit state
-// is kept per fit position, so a row listed twice trains like two rows.
+// lane_count / speed_limit, missing f60 readings), and their compiled flat
+// forms, are hashed and compared against constants: the hashes must not
+// move with thread count, chunk grain, entry point, or code caching. A
+// second test pins that Fit state is kept per fit position, so a row
+// listed twice trains like two rows.
 #include <cmath>
 #include <cstdint>
 #include <ostream>
@@ -21,6 +22,7 @@
 #include "ml/gradient_boosting.h"
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
+#include "serve/flat_model.h"
 #include "util/rng.h"
 
 namespace roadmine::ml {
@@ -65,7 +67,13 @@ GradientBoostedTreesParams PinnedParams(exec::Executor* executor) {
 
 enum class FitKind { kAllRows, kShuffledSubsampled, kPagedCached, kPagedStreamed };
 
-std::string FitModel(FitKind kind, exec::Executor* executor) {
+// The two hashes of one fit: its model file and its compiled flat form.
+struct Hashes {
+  uint64_t model = 0;
+  uint64_t flat = 0;
+};
+
+Hashes FitModel(FitKind kind, exec::Executor* executor) {
   const data::Dataset& ds = Network();
   const std::string target = core::ThresholdTargetName(4);
   const std::vector<std::string>& features = roadgen::RoadAttributeColumns();
@@ -104,15 +112,21 @@ std::string FitModel(FitKind kind, exec::Executor* executor) {
     }
   }
   EXPECT_TRUE(status.ok()) << status.ToString();
-  return model.Serialize();
+  Hashes hashes;
+  hashes.model = Fnv1a(model.Serialize());
+  auto flat = serve::CompileModel(model);
+  EXPECT_TRUE(flat.ok()) << flat.status().ToString();
+  if (flat.ok()) hashes.flat = Fnv1a(flat->Serialize());
+  return hashes;
 }
 
-// Expected hashes of the serialized models. The paged fits are in the
-// quantile sketch's exact regime and share Fit's hash: they train the
-// same model.
+// Expected hashes of the serialized models and of their compiled flat
+// forms. The paged fits are in the quantile sketch's exact regime and
+// share Fit's hashes: they train the same model.
 struct PinCase {
   FitKind kind;
   uint64_t hash;
+  uint64_t flat;
   const char* name;
 };
 
@@ -122,29 +136,36 @@ class GbtPinnedModelTest : public ::testing::TestWithParam<PinCase> {};
 
 TEST_P(GbtPinnedModelTest, HashHoldsAtEveryThreadCountAndGrain) {
   const PinCase& pin = GetParam();
-  EXPECT_EQ(Fnv1a(FitModel(pin.kind, nullptr)), pin.hash) << "serial";
+  const Hashes serial = FitModel(pin.kind, nullptr);
+  EXPECT_EQ(serial.model, pin.hash) << "serial: 0x" << std::hex << serial.model;
+  EXPECT_EQ(serial.flat, pin.flat) << "serial flat: 0x" << std::hex
+                                   << serial.flat;
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     exec::ThreadPool pool(threads);
-    EXPECT_EQ(Fnv1a(FitModel(pin.kind, &pool)), pin.hash)
-        << threads << " threads";
+    const Hashes hashes = FitModel(pin.kind, &pool);
+    EXPECT_EQ(hashes.model, pin.hash) << threads << " threads";
+    EXPECT_EQ(hashes.flat, pin.flat) << threads << " threads, flat form";
   }
   for (const size_t grain : {size_t{1}, size_t{7}, size_t{1} << 30}) {
     exec::ThreadPool pool(4);
     exec::ScopedGrainForTesting scoped(grain);
-    EXPECT_EQ(Fnv1a(FitModel(pin.kind, &pool)), pin.hash) << "grain " << grain;
+    const Hashes hashes = FitModel(pin.kind, &pool);
+    EXPECT_EQ(hashes.model, pin.hash) << "grain " << grain;
+    EXPECT_EQ(hashes.flat, pin.flat) << "grain " << grain << ", flat form";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Fits, GbtPinnedModelTest,
     ::testing::Values(
-        PinCase{FitKind::kAllRows, 0xae6c9ec0180aeb07ull, "FitAllRows"},
+        PinCase{FitKind::kAllRows, 0xae6c9ec0180aeb07ull, 0xf516be83843b7c57ull,
+                "FitAllRows"},
         PinCase{FitKind::kShuffledSubsampled, 0xaa5e9392a31abf18ull,
-                "FitShuffledTrainRowsSubsampled"},
+                0xf46c9f0786bce739ull, "FitShuffledTrainRowsSubsampled"},
         PinCase{FitKind::kPagedCached, 0xae6c9ec0180aeb07ull,
-                "FitPagedCached"},
+                0xf516be83843b7c57ull, "FitPagedCached"},
         PinCase{FitKind::kPagedStreamed, 0xae6c9ec0180aeb07ull,
-                "FitPagedStreamed37RowChunks"}),
+                0xf516be83843b7c57ull, "FitPagedStreamed37RowChunks"}),
     [](const ::testing::TestParamInfo<PinCase>& info) {
       return std::string(info.param.name);
     });

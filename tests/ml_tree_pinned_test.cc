@@ -1,11 +1,12 @@
 // Absolute pins for the paper's trees: the chi-square, Gini and entropy
 // decision trees, the F-test regression tree, M5 and a bagged ensemble,
 // each fitted on a 6,000-segment roadgen fixture and hashed from its
-// Serialize() text. The identity suites compare two search paths of the
-// same grower with each other; these constants also catch a change that
-// moves every path at once. Every fit runs over all rows and over a
-// shuffled row list with one row listed twice, serially and on a
-// 4-thread pool, and the hash must not move with either.
+// Serialize() text and from its compiled flat form's. The identity suites
+// compare two search paths of the same grower with each other; these
+// constants also catch a change that moves every path at once, or the
+// compiler's lowering of the fitted records. Every fit runs over all rows
+// and over a shuffled row list with one row listed twice, serially and on
+// a 4-thread pool, and neither hash may move with either.
 #include <cmath>
 #include <cstdint>
 #include <ostream>
@@ -23,6 +24,7 @@
 #include "ml/regression_tree.h"
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
+#include "serve/flat_model.h"
 #include "util/rng.h"
 
 namespace roadmine::ml {
@@ -88,7 +90,8 @@ struct PinCase {
   Search search;
   Target target;
   Rows rows;
-  uint64_t hash;
+  uint64_t hash;  // Of the model's Serialize() text.
+  uint64_t flat;  // Of its compiled FlatModel's Serialize() text.
   const char* name;
 };
 
@@ -129,7 +132,24 @@ SplitCriterion CriterionOf(Model model) {
   return SplitCriterion::kChiSquare;
 }
 
-std::string FitModel(const PinCase& pin, exec::Executor* executor) {
+// The two hashes of one fit: its model file and its compiled flat form.
+struct Hashes {
+  uint64_t model = 0;
+  uint64_t flat = 0;
+};
+
+// Hashes a fitted model's Serialize() text and its compiled form's.
+template <typename Model>
+Hashes HashOf(const Model& model) {
+  Hashes hashes;
+  hashes.model = Fnv1a(model.Serialize());
+  auto flat = serve::CompileModel(model);
+  EXPECT_TRUE(flat.ok()) << flat.status().ToString();
+  if (flat.ok()) hashes.flat = Fnv1a(flat->Serialize());
+  return hashes;
+}
+
+Hashes FitModel(const PinCase& pin, exec::Executor* executor) {
   const data::Dataset& ds = Network();
   const std::string target = pin.target == Target::kCp4
                                  ? core::ThresholdTargetName(4)
@@ -137,7 +157,7 @@ std::string FitModel(const PinCase& pin, exec::Executor* executor) {
   const std::vector<std::string>& features = roadgen::RoadAttributeColumns();
   const std::vector<size_t> rows = FitRows(pin.rows);
   util::Status status;
-  std::string text;
+  Hashes hashes;
   switch (pin.model) {
     case Model::kChiSquareTree:
     case Model::kGiniTree:
@@ -146,13 +166,13 @@ std::string FitModel(const PinCase& pin, exec::Executor* executor) {
       params.criterion = CriterionOf(pin.model);
       DecisionTreeClassifier tree(params);
       status = tree.Fit(ds, target, features, rows);
-      text = tree.Serialize();
+      hashes = HashOf(tree);
       break;
     }
     case Model::kRegressionTree: {
       RegressionTree tree(RegressionParams(pin, executor));
       status = tree.Fit(ds, target, features, rows);
-      text = tree.Serialize();
+      hashes = HashOf(tree);
       break;
     }
     case Model::kM5Tree: {
@@ -160,7 +180,7 @@ std::string FitModel(const PinCase& pin, exec::Executor* executor) {
       params.tree = RegressionParams(pin, executor);
       M5Tree tree(params);
       status = tree.Fit(ds, target, features, rows);
-      text = tree.Serialize();
+      hashes = HashOf(tree);
       break;
     }
     case Model::kBaggedTrees: {
@@ -171,23 +191,27 @@ std::string FitModel(const PinCase& pin, exec::Executor* executor) {
       params.executor = executor;
       BaggedTreesClassifier ensemble(params);
       status = ensemble.Fit(ds, target, features, rows);
-      text = ensemble.Serialize();
+      hashes = HashOf(ensemble);
       break;
     }
   }
   EXPECT_TRUE(status.ok()) << status.ToString();
-  return text;
+  return hashes;
 }
 
 class TreePinnedModelTest : public ::testing::TestWithParam<PinCase> {};
 
 TEST_P(TreePinnedModelTest, HashHoldsSeriallyAndOnFourThreads) {
   const PinCase& pin = GetParam();
-  const uint64_t serial = Fnv1a(FitModel(pin, nullptr));
-  EXPECT_EQ(serial, pin.hash) << "serial fit hashes to 0x" << std::hex
-                              << serial;
+  const Hashes serial = FitModel(pin, nullptr);
+  EXPECT_EQ(serial.model, pin.hash) << "serial fit hashes to 0x" << std::hex
+                                    << serial.model;
+  EXPECT_EQ(serial.flat, pin.flat) << "serial flat form hashes to 0x"
+                                   << std::hex << serial.flat;
   exec::ThreadPool pool(4);
-  EXPECT_EQ(Fnv1a(FitModel(pin, &pool)), pin.hash) << "4 threads";
+  const Hashes threaded = FitModel(pin, &pool);
+  EXPECT_EQ(threaded.model, pin.hash) << "4 threads";
+  EXPECT_EQ(threaded.flat, pin.flat) << "4 threads, flat form";
 }
 
 constexpr Rows kAll = Rows::kAll;
@@ -197,78 +221,105 @@ INSTANTIATE_TEST_SUITE_P(
     Fits, TreePinnedModelTest,
     ::testing::Values(
         PinCase{Model::kChiSquareTree, Search::kFeatureIndex, Target::kCp4,
-                kAll, 0xf92a4b0fb2229203ull, "ChiSquareIndexAll"},
+                kAll, 0xf92a4b0fb2229203ull, 0xabeb3f6726136924ull,
+                "ChiSquareIndexAll"},
         PinCase{Model::kChiSquareTree, Search::kFeatureIndex, Target::kCp4,
-                kShuffled, 0x8a2b42bdfa7c993aull, "ChiSquareIndexShuffled"},
+                kShuffled, 0x8a2b42bdfa7c993aull, 0x9d298d1037369b65ull,
+                "ChiSquareIndexShuffled"},
+        PinCase{Model::kChiSquareTree, Search::kPerNodeSort, Target::kCp4, kAll,
+                0xf92a4b0fb2229203ull, 0xabeb3f6726136924ull,
+                "ChiSquareSortAll"},
         PinCase{Model::kChiSquareTree, Search::kPerNodeSort, Target::kCp4,
-                kAll, 0xf92a4b0fb2229203ull, "ChiSquareSortAll"},
-        PinCase{Model::kChiSquareTree, Search::kPerNodeSort, Target::kCp4,
-                kShuffled, 0x8a2b42bdfa7c993aull, "ChiSquareSortShuffled"},
+                kShuffled, 0x8a2b42bdfa7c993aull, 0x9d298d1037369b65ull,
+                "ChiSquareSortShuffled"},
+        PinCase{Model::kChiSquareTree, Search::kHistogram, Target::kCp4, kAll,
+                0x5b08e195a1346911ull, 0x59f838012170f2ffull,
+                "ChiSquareHistogramAll"},
         PinCase{Model::kChiSquareTree, Search::kHistogram, Target::kCp4,
-                kAll, 0x5b08e195a1346911ull, "ChiSquareHistogramAll"},
-        PinCase{Model::kChiSquareTree, Search::kHistogram, Target::kCp4,
-                kShuffled, 0x70789183c590a56aull, "ChiSquareHistogramShuffled"},
+                kShuffled, 0x70789183c590a56aull, 0x102a5cf6334439ull,
+                "ChiSquareHistogramShuffled"},
+        PinCase{Model::kGiniTree, Search::kFeatureIndex, Target::kCp4, kAll,
+                0x84f2968688fa8802ull, 0x451d38d03ef4b217ull, "GiniIndexAll"},
         PinCase{Model::kGiniTree, Search::kFeatureIndex, Target::kCp4,
-                kAll, 0x84f2968688fa8802ull, "GiniIndexAll"},
-        PinCase{Model::kGiniTree, Search::kFeatureIndex, Target::kCp4,
-                kShuffled, 0xd9b3e0dd9dcaa23bull, "GiniIndexShuffled"},
-        PinCase{Model::kGiniTree, Search::kPerNodeSort, Target::kCp4,
-                kAll, 0x84f2968688fa8802ull, "GiniSortAll"},
-        PinCase{Model::kGiniTree, Search::kPerNodeSort, Target::kCp4,
-                kShuffled, 0xd9b3e0dd9dcaa23bull, "GiniSortShuffled"},
-        PinCase{Model::kGiniTree, Search::kHistogram, Target::kCp4,
-                kAll, 0x1db9408db020114cull, "GiniHistogramAll"},
-        PinCase{Model::kGiniTree, Search::kHistogram, Target::kCp4,
-                kShuffled, 0xffb1a604c687caf0ull, "GiniHistogramShuffled"},
+                kShuffled, 0xd9b3e0dd9dcaa23bull, 0x60e15d6ff76a4024ull,
+                "GiniIndexShuffled"},
+        PinCase{Model::kGiniTree, Search::kPerNodeSort, Target::kCp4, kAll,
+                0x84f2968688fa8802ull, 0x451d38d03ef4b217ull, "GiniSortAll"},
+        PinCase{Model::kGiniTree, Search::kPerNodeSort, Target::kCp4, kShuffled,
+                0xd9b3e0dd9dcaa23bull, 0x60e15d6ff76a4024ull,
+                "GiniSortShuffled"},
+        PinCase{Model::kGiniTree, Search::kHistogram, Target::kCp4, kAll,
+                0x1db9408db020114cull, 0x1c31b9abdff4987ull,
+                "GiniHistogramAll"},
+        PinCase{Model::kGiniTree, Search::kHistogram, Target::kCp4, kShuffled,
+                0xffb1a604c687caf0ull, 0x2527adcacdde9c04ull,
+                "GiniHistogramShuffled"},
+        PinCase{Model::kEntropyTree, Search::kFeatureIndex, Target::kCp4, kAll,
+                0x8efd2a53061ad5b6ull, 0xac257c52de2bfd35ull,
+                "EntropyIndexAll"},
         PinCase{Model::kEntropyTree, Search::kFeatureIndex, Target::kCp4,
-                kAll, 0x8efd2a53061ad5b6ull, "EntropyIndexAll"},
-        PinCase{Model::kEntropyTree, Search::kFeatureIndex, Target::kCp4,
-                kShuffled, 0x9d1f697ec439f39eull, "EntropyIndexShuffled"},
+                kShuffled, 0x9d1f697ec439f39eull, 0xcfee00640e5772ddull,
+                "EntropyIndexShuffled"},
+        PinCase{Model::kEntropyTree, Search::kPerNodeSort, Target::kCp4, kAll,
+                0x8efd2a53061ad5b6ull, 0xac257c52de2bfd35ull, "EntropySortAll"},
         PinCase{Model::kEntropyTree, Search::kPerNodeSort, Target::kCp4,
-                kAll, 0x8efd2a53061ad5b6ull, "EntropySortAll"},
-        PinCase{Model::kEntropyTree, Search::kPerNodeSort, Target::kCp4,
-                kShuffled, 0x9d1f697ec439f39eull, "EntropySortShuffled"},
+                kShuffled, 0x9d1f697ec439f39eull, 0xcfee00640e5772ddull,
+                "EntropySortShuffled"},
+        PinCase{Model::kEntropyTree, Search::kHistogram, Target::kCp4, kAll,
+                0x7146e438b64551ebull, 0xfa699c78ee12afdaull,
+                "EntropyHistogramAll"},
         PinCase{Model::kEntropyTree, Search::kHistogram, Target::kCp4,
-                kAll, 0x7146e438b64551ebull, "EntropyHistogramAll"},
-        PinCase{Model::kEntropyTree, Search::kHistogram, Target::kCp4,
-                kShuffled, 0xa4624be059f0426dull, "EntropyHistogramShuffled"},
+                kShuffled, 0xa4624be059f0426dull, 0x9ae9e77511dcc66eull,
+                "EntropyHistogramShuffled"},
         PinCase{Model::kRegressionTree, Search::kFeatureIndex, Target::kCp4,
-                kAll, 0x192bb09441619af8ull, "RegressionCp4IndexAll"},
+                kAll, 0x192bb09441619af8ull, 0x9c87551b16d983adull,
+                "RegressionCp4IndexAll"},
         PinCase{Model::kRegressionTree, Search::kFeatureIndex, Target::kCp4,
-                kShuffled, 0x5faac998f6d7c1b9ull, "RegressionCp4IndexShuffled"},
+                kShuffled, 0x5faac998f6d7c1b9ull, 0x520c4d1a1bbfce5aull,
+                "RegressionCp4IndexShuffled"},
         PinCase{Model::kRegressionTree, Search::kPerNodeSort, Target::kCp4,
-                kAll, 0x192bb09441619af8ull, "RegressionCp4SortAll"},
+                kAll, 0x192bb09441619af8ull, 0x9c87551b16d983adull,
+                "RegressionCp4SortAll"},
         PinCase{Model::kRegressionTree, Search::kPerNodeSort, Target::kCp4,
-                kShuffled, 0x5faac998f6d7c1b9ull, "RegressionCp4SortShuffled"},
+                kShuffled, 0x5faac998f6d7c1b9ull, 0x520c4d1a1bbfce5aull,
+                "RegressionCp4SortShuffled"},
         PinCase{Model::kRegressionTree, Search::kFeatureIndex, Target::kRate,
-                kAll, 0x8b2cf6989b9d8da5ull, "RegressionRateIndexAll"},
+                kAll, 0x8b2cf6989b9d8da5ull, 0x3ca13134462b2c30ull,
+                "RegressionRateIndexAll"},
         PinCase{Model::kRegressionTree, Search::kFeatureIndex, Target::kRate,
-                kShuffled, 0xc79e98d78f2ee05bull,
+                kShuffled, 0xc79e98d78f2ee05bull, 0x4197a71017bce249ull,
                 "RegressionRateIndexShuffled"},
         PinCase{Model::kRegressionTree, Search::kPerNodeSort, Target::kRate,
-                kAll, 0x8b2cf6989b9d8da5ull, "RegressionRateSortAll"},
+                kAll, 0x8b2cf6989b9d8da5ull, 0x3ca13134462b2c30ull,
+                "RegressionRateSortAll"},
         PinCase{Model::kRegressionTree, Search::kPerNodeSort, Target::kRate,
-                kShuffled, 0xc79e98d78f2ee05bull, "RegressionRateSortShuffled"},
-        PinCase{Model::kM5Tree, Search::kFeatureIndex, Target::kCp4,
-                kAll, 0x80d09153ca499d58ull, "M5Cp4IndexAll"},
-        PinCase{Model::kM5Tree, Search::kFeatureIndex, Target::kCp4,
-                kShuffled, 0x738286adb01865bcull, "M5Cp4IndexShuffled"},
-        PinCase{Model::kM5Tree, Search::kPerNodeSort, Target::kCp4,
-                kAll, 0x80d09153ca499d58ull, "M5Cp4SortAll"},
-        PinCase{Model::kM5Tree, Search::kPerNodeSort, Target::kCp4,
-                kShuffled, 0x738286adb01865bcull, "M5Cp4SortShuffled"},
-        PinCase{Model::kM5Tree, Search::kFeatureIndex, Target::kRate,
-                kAll, 0x505af42f7159d4ceull, "M5RateIndexAll"},
-        PinCase{Model::kM5Tree, Search::kFeatureIndex, Target::kRate,
-                kShuffled, 0xf78ce6ff7a9f7ea7ull, "M5RateIndexShuffled"},
-        PinCase{Model::kM5Tree, Search::kPerNodeSort, Target::kRate,
-                kAll, 0x505af42f7159d4ceull, "M5RateSortAll"},
-        PinCase{Model::kM5Tree, Search::kPerNodeSort, Target::kRate,
-                kShuffled, 0xf78ce6ff7a9f7ea7ull, "M5RateSortShuffled"},
+                kShuffled, 0xc79e98d78f2ee05bull, 0x4197a71017bce249ull,
+                "RegressionRateSortShuffled"},
+        PinCase{Model::kM5Tree, Search::kFeatureIndex, Target::kCp4, kAll,
+                0x80d09153ca499d58ull, 0xd92aa834bfd65625ull, "M5Cp4IndexAll"},
+        PinCase{Model::kM5Tree, Search::kFeatureIndex, Target::kCp4, kShuffled,
+                0x738286adb01865bcull, 0xaf55013d625411c1ull,
+                "M5Cp4IndexShuffled"},
+        PinCase{Model::kM5Tree, Search::kPerNodeSort, Target::kCp4, kAll,
+                0x80d09153ca499d58ull, 0xd92aa834bfd65625ull, "M5Cp4SortAll"},
+        PinCase{Model::kM5Tree, Search::kPerNodeSort, Target::kCp4, kShuffled,
+                0x738286adb01865bcull, 0xaf55013d625411c1ull,
+                "M5Cp4SortShuffled"},
+        PinCase{Model::kM5Tree, Search::kFeatureIndex, Target::kRate, kAll,
+                0x505af42f7159d4ceull, 0x85747fc2b805ad6cull, "M5RateIndexAll"},
+        PinCase{Model::kM5Tree, Search::kFeatureIndex, Target::kRate, kShuffled,
+                0xf78ce6ff7a9f7ea7ull, 0x214631b3c9953713ull,
+                "M5RateIndexShuffled"},
+        PinCase{Model::kM5Tree, Search::kPerNodeSort, Target::kRate, kAll,
+                0x505af42f7159d4ceull, 0x85747fc2b805ad6cull, "M5RateSortAll"},
+        PinCase{Model::kM5Tree, Search::kPerNodeSort, Target::kRate, kShuffled,
+                0xf78ce6ff7a9f7ea7ull, 0x214631b3c9953713ull,
+                "M5RateSortShuffled"},
+        PinCase{Model::kBaggedTrees, Search::kFeatureIndex, Target::kCp4, kAll,
+                0x6c9afbe2101136f4ull, 0x8ffe4a9e7e59a37ull, "BaggedIndexAll"},
         PinCase{Model::kBaggedTrees, Search::kFeatureIndex, Target::kCp4,
-                kAll, 0x6c9afbe2101136f4ull, "BaggedIndexAll"},
-        PinCase{Model::kBaggedTrees, Search::kFeatureIndex, Target::kCp4,
-                kShuffled, 0x46919112c5ff76a3ull, "BaggedIndexShuffled"}),
+                kShuffled, 0x46919112c5ff76a3ull, 0xa74f4ddfea6996ecull,
+                "BaggedIndexShuffled"}),
     [](const ::testing::TestParamInfo<PinCase>& info) {
       return std::string(info.param.name);
     });
