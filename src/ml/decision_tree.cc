@@ -81,18 +81,10 @@ Status DecisionTreeClassifier::Fit(
 // Prediction
 // ---------------------------------------------------------------------------
 
-int DecisionTreeClassifier::FindLeaf(const data::Dataset& dataset,
-                                     size_t row) const {
-  int id = 0;
-  while (!nodes_[static_cast<size_t>(id)].is_leaf) {
-    id = nodes_[static_cast<size_t>(id)].Child(features_, dataset, row);
-  }
-  return id;
-}
-
 double DecisionTreeClassifier::PredictProba(const data::Dataset& dataset,
                                             size_t row) const {
-  return nodes_[static_cast<size_t>(FindLeaf(dataset, row))].positive_fraction();
+  return nodes_[static_cast<size_t>(FindLeaf(nodes_, features_, dataset, row))]
+      .positive_fraction();
 }
 
 int DecisionTreeClassifier::Predict(const data::Dataset& dataset, size_t row,
@@ -109,19 +101,6 @@ util::Result<std::vector<double>> DecisionTreeClassifier::PredictBatch(
   return probs;
 }
 
-std::vector<DecisionTreeClassifier::NodeView>
-DecisionTreeClassifier::ExportNodes() const {
-  std::vector<NodeView> views;
-  views.reserve(nodes_.size());
-  for (const Node& node : nodes_) {
-    NodeView view;
-    static_cast<TreeNode&>(view) = node;
-    view.leaf_value = node.positive_fraction();
-    views.push_back(std::move(view));
-  }
-  return views;
-}
-
 // ---------------------------------------------------------------------------
 // Pruning
 // ---------------------------------------------------------------------------
@@ -136,18 +115,11 @@ Status DecisionTreeClassifier::PruneReducedError(
 
   // Validation class counts per node, accumulated along each row's path.
   std::vector<size_t> val_pos(nodes_.size(), 0), val_neg(nodes_.size(), 0);
+  std::vector<int> path;
   for (size_t r : rows) {
-    int id = 0;
-    while (true) {
-      if ((*labels)[r]) {
-        ++val_pos[static_cast<size_t>(id)];
-      } else {
-        ++val_neg[static_cast<size_t>(id)];
-      }
-      const Node& node = nodes_[static_cast<size_t>(id)];
-      if (node.is_leaf) break;
-      id = node.Child(features_, dataset, r);
-    }
+    FindLeaf(nodes_, features_, dataset, r, &path);
+    std::vector<size_t>& counts = (*labels)[r] ? val_pos : val_neg;
+    for (const int id : path) ++counts[static_cast<size_t>(id)];
   }
 
   // Children always have larger indices than parents (nodes are appended as

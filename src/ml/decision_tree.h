@@ -152,16 +152,8 @@ class DecisionTreeClassifier : public Predictor {
   [[nodiscard]] static util::Result<DecisionTreeClassifier> Deserialize(
       const std::string& text, const data::Dataset& dataset);
 
-  // Read-only flat view of one fitted node, exported for model compilers
-  // (serve::FlatModel). leaf_value is the Laplace-smoothed positive
-  // fraction — exactly what PredictProba returns at that leaf.
-  struct NodeView : TreeNode {
-    double leaf_value = 0.0;
-  };
-  std::vector<NodeView> ExportNodes() const;
-  const std::vector<FeatureRef>& features() const { return features_; }
-
- private:
+  // One fitted node. A leaf predicts positive_fraction(), which is what
+  // model compilers (serve::FlatModel) read as its payload.
   struct Node : TreeNode {
     // Human-readable category sets captured at fit time so rules render
     // without access to the training dataset's dictionaries.
@@ -180,7 +172,13 @@ class DecisionTreeClassifier : public Predictor {
     }
   };
 
-  int FindLeaf(const data::Dataset& dataset, size_t row) const;
+  // The fitted records, node 0 the root (pruning leaves the nodes below a
+  // collapsed split in place, unreachable), and the features their splits
+  // index.
+  const std::vector<Node>& nodes() const { return nodes_; }
+  const std::vector<FeatureRef>& features() const { return features_; }
+
+ private:
   // Ids of the nodes reachable from the root (pruning can orphan nodes),
   // depth-first with each node's right subtree first.
   std::vector<int> ReachableNodes() const;

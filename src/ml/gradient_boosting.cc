@@ -530,11 +530,11 @@ class GradientBoostedTrees::Grower {
               ExecutorFor(rows), rows, [&](size_t begin, size_t end) {
                 for (size_t i = begin; i < end; ++i) {
                   size_t id = leaf_[base + i] == kUnsampled ? 0 : leaf_[base + i];
-                  while (tree_[id].feature >= 0) {
+                  while (!tree_[id].is_leaf) {
                     const Node& node = tree_[id];
-                    const auto f = static_cast<size_t>(node.feature);
-                    id = static_cast<size_t>(
-                        GoesLeft(id, codes[f][i]) ? node.left : node.right);
+                    id = static_cast<size_t>(GoesLeft(id, codes[node.feature][i])
+                                                 ? node.left
+                                                 : node.right);
                   }
                   margin_[base + i] += tree_[id].leaf_value;
                 }
@@ -695,7 +695,8 @@ class GradientBoostedTrees::Grower {
       routes_.resize(left_id + 2);
       const auto id = static_cast<size_t>(parent.node);
       Node& node = tree_[id];
-      node.feature = static_cast<int>(best.feature);
+      node.is_leaf = false;
+      node.feature = best.feature;
       node.threshold = best.threshold;
       node.left_categories = std::move(best.left_categories);
       node.missing_goes_left = best.missing_goes_left;
@@ -949,34 +950,12 @@ Status GradientBoostedTrees::FitPaged(
   return Status::Ok();
 }
 
-double GradientBoostedTrees::TreeWeight(const std::vector<Node>& tree,
-                                        const data::Dataset& dataset,
-                                        size_t row) const {
-  size_t id = 0;
-  for (;;) {
-    const Node& node = tree[id];
-    if (node.feature < 0) return node.leaf_value;
-    const FeatureRef& ref = features_[static_cast<size_t>(node.feature)];
-    const data::Column& col = dataset.column(ref.column_index);
-    bool go_left;
-    if (col.IsMissing(row)) {
-      go_left = node.missing_goes_left;
-    } else if (ref.type == data::ColumnType::kNumeric) {
-      go_left = col.NumericAt(row) <= node.threshold;
-    } else {
-      const auto code = static_cast<size_t>(col.CodeAt(row));
-      go_left = code < node.left_categories.size() &&
-                node.left_categories[code] != 0;
-    }
-    id = static_cast<size_t>(go_left ? node.left : node.right);
-  }
-}
-
 double GradientBoostedTrees::PredictProba(const data::Dataset& dataset,
                                           size_t row) const {
   double margin = base_score_;
   for (const std::vector<Node>& tree : trees_) {
-    margin += TreeWeight(tree, dataset, row);
+    margin += tree[static_cast<size_t>(FindLeaf(tree, features_, dataset, row))]
+                  .leaf_value;
   }
   return Sigmoid(margin);
 }
@@ -1002,31 +981,9 @@ Result<std::vector<double>> GradientBoostedTrees::PredictBatch(
 size_t GradientBoostedTrees::total_leaves() const {
   size_t leaves = 0;
   for (const std::vector<Node>& tree : trees_) {
-    for (const Node& node : tree) {
-      if (node.feature < 0) ++leaves;
-    }
+    for (const Node& node : tree) leaves += node.is_leaf ? 1 : 0;
   }
   return leaves;
-}
-
-std::vector<GradientBoostedTrees::NodeView>
-GradientBoostedTrees::ExportTreeNodes(size_t t) const {
-  std::vector<NodeView> views;
-  const std::vector<Node>& tree = trees_[t];
-  views.reserve(tree.size());
-  for (const Node& node : tree) {
-    NodeView view;
-    view.is_leaf = node.feature < 0;
-    view.feature = node.feature < 0 ? 0 : static_cast<size_t>(node.feature);
-    view.threshold = node.threshold;
-    view.left_categories = node.left_categories;
-    view.missing_goes_left = node.missing_goes_left;
-    view.left = node.left;
-    view.right = node.right;
-    view.leaf_value = node.leaf_value;
-    views.push_back(std::move(view));
-  }
-  return views;
 }
 
 // ---------------------------------------------------------------------------
@@ -1046,18 +1003,14 @@ std::string GradientBoostedTrees::Serialize() const {
     out += "tree " + std::to_string(tree.size()) + "\n";
     for (const Node& node : tree) {
       out += "node\t";
-      out += std::to_string(node.feature < 0 ? 1 : 0) + "\t";
-      out += std::to_string(node.feature < 0 ? 0 : node.feature) + "\t";
+      out += std::to_string(node.is_leaf ? 1 : 0) + "\t";
+      out += std::to_string(node.feature) + "\t";
       out += SerializeDouble(node.threshold) + "\t";
       out += std::to_string(node.missing_goes_left ? 1 : 0) + "\t";
       out += std::to_string(node.left) + "\t";
       out += std::to_string(node.right) + "\t";
       out += SerializeDouble(node.leaf_value) + "\t";
-      if (node.left_categories.empty()) {
-        out += "-";
-      } else {
-        for (uint8_t bit : node.left_categories) out += bit ? '1' : '0';
-      }
+      AppendCategoryMask(node.left_categories, &out);
       out += "\n";
     }
   }
@@ -1107,14 +1060,15 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Deserialize(
       if (!util::ParseInt(parts[1], &value)) {
         return InvalidArgumentError("bad is_leaf");
       }
-      const bool is_leaf = value != 0;
+      node.is_leaf = value != 0;
       if (!util::ParseInt(parts[2], &value) || value < 0) {
         return InvalidArgumentError("bad feature index");
       }
-      node.feature = is_leaf ? -1 : static_cast<int>(value);
-      if (!is_leaf &&
-          static_cast<size_t>(value) >= model.features_.size()) {
-        return InvalidArgumentError("feature index out of range");
+      if (!node.is_leaf) {
+        if (static_cast<size_t>(value) >= model.features_.size()) {
+          return InvalidArgumentError("feature index out of range");
+        }
+        node.feature = static_cast<size_t>(value);
       }
       if (!util::ParseDouble(parts[3], &node.threshold)) {
         return InvalidArgumentError("bad threshold");
@@ -1132,19 +1086,11 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Deserialize(
       if (!util::ParseDouble(parts[7], &node.leaf_value)) {
         return InvalidArgumentError("bad leaf value");
       }
-      if (parts[8] != "-") {
-        node.left_categories.reserve(parts[8].size());
-        for (char c : parts[8]) {
-          if (c != '0' && c != '1') {
-            return InvalidArgumentError("bad category mask");
-          }
-          node.left_categories.push_back(c == '1' ? 1 : 0);
-        }
-      }
+      ROADMINE_RETURN_IF_ERROR(
+          ParseCategoryMask(parts[8], &node.left_categories));
       tree.push_back(std::move(node));
     }
-    ROADMINE_RETURN_IF_ERROR(CheckTreeLinks(
-        tree, [](const Node& node) { return node.feature < 0; }));
+    ROADMINE_RETURN_IF_ERROR(CheckTreeLinks(tree));
     model.trees_.push_back(std::move(tree));
   }
   return model;

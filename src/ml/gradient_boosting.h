@@ -37,6 +37,7 @@
 #include "data/row_source.h"
 #include "ml/common.h"
 #include "ml/predictor.h"
+#include "ml/tree_growth.h"
 #include "util/status.h"
 
 namespace roadmine::exec {
@@ -141,20 +142,15 @@ class GradientBoostedTrees : public Predictor {
   double base_score() const { return base_score_; }
   const std::vector<FeatureRef>& features() const { return features_; }
 
-  // Read-only flat view of one fitted node for model compilers
-  // (serve::FlatModel). leaf_value is the shrinkage-scaled leaf weight —
-  // a margin contribution, not a probability.
-  struct NodeView {
-    bool is_leaf = true;
-    size_t feature = 0;
-    double threshold = 0.0;
-    std::vector<uint8_t> left_categories;
-    bool missing_goes_left = true;
-    int left = -1;
-    int right = -1;
+  // One fitted node: the split record every tree model shares, plus the
+  // leaf weight, shrinkage applied — a margin contribution, not a
+  // probability. `depth` stays 0, and a leaf's `feature` 0: the model
+  // format carries neither.
+  struct Node : TreeNode {
     double leaf_value = 0.0;
   };
-  std::vector<NodeView> ExportTreeNodes(size_t t) const;
+  // Tree t's nodes (t < tree_count()), node 0 its root.
+  const std::vector<Node>& tree(size_t t) const { return trees_[t]; }
 
   // Deployment persistence ("roadmine-gbt v1"): base score, feature
   // schema, then each tree's node block. %.17g doubles round-trip
@@ -164,22 +160,8 @@ class GradientBoostedTrees : public Predictor {
       const std::string& text, const data::Dataset& dataset);
 
  private:
-  struct Node {
-    int feature = -1;  // -1 = leaf.
-    double threshold = 0.0;
-    std::vector<uint8_t> left_categories;  // Non-empty = categorical split.
-    bool missing_goes_left = true;
-    int left = -1;
-    int right = -1;
-    double leaf_value = 0.0;  // Shrinkage applied at training time.
-  };
-
   // The growth engine Fit and FitPaged share (gradient_boosting.cc).
   class Grower;
-
-  // Adds tree t's leaf weight for `row` (raw column values).
-  double TreeWeight(const std::vector<Node>& tree, const data::Dataset& dataset,
-                    size_t row) const;
 
   GradientBoostedTreesParams params_;
   std::vector<FeatureRef> features_;

@@ -34,11 +34,11 @@ Status M5Tree::Fit(const data::Dataset& dataset,
   // Group training rows by leaf.
   std::unordered_map<int, std::vector<size_t>> leaf_rows;
   for (size_t r : rows) {
-    leaf_rows[structure_.LeafId(dataset, r)].push_back(r);
+    leaf_rows[FindLeaf(structure_.nodes(), structure_.features(), dataset, r)]
+        .push_back(r);
   }
 
-  leaf_models_.assign(structure_.node_count(), LeafModel{});
-  has_model_.assign(structure_.node_count(), 0);
+  leaf_models_.assign(structure_.node_count(), std::nullopt);
   const size_t d = numeric_features_.size();
 
   for (const auto& [leaf, members] : leaf_rows) {
@@ -97,36 +97,37 @@ Status M5Tree::Fit(const data::Dataset& dataset,
       model.intercept -= model.weights[j] * x_mean[j];
     }
     leaf_models_[static_cast<size_t>(leaf)] = std::move(model);
-    has_model_[static_cast<size_t>(leaf)] = 1;
   }
   return Status::Ok();
 }
 
 double M5Tree::Predict(const data::Dataset& dataset, size_t row) const {
-  const std::vector<int> path = structure_.PathToLeaf(dataset, row);
-  const int leaf = path.back();
+  const std::vector<RegressionTree::Node>& nodes = structure_.nodes();
+  std::vector<int> path;
+  const auto leaf = static_cast<size_t>(
+      FindLeaf(nodes, structure_.features(), dataset, row, &path));
 
   double prediction;
-  if (has_model_[static_cast<size_t>(leaf)]) {
-    const LeafModel& model = leaf_models_[static_cast<size_t>(leaf)];
-    prediction = model.intercept;
+  if (const LeafModel* model = leaf_model(leaf)) {
+    prediction = model->intercept;
     for (size_t j = 0; j < numeric_features_.size(); ++j) {
       const double v =
           dataset.column(numeric_features_[j].column_index).NumericAt(row);
-      if (!std::isnan(v)) prediction += model.weights[j] * v;
+      if (!std::isnan(v)) prediction += model->weights[j] * v;
       // Missing values were imputed to the leaf mean at fit time; the
       // centered formulation makes their contribution 0 here as well.
     }
   } else {
-    prediction = structure_.NodeMean(leaf);
+    prediction = nodes[leaf].mean;
   }
 
   if (params_.smoothing <= 0.0) return prediction;
   // Quinlan smoothing: blend with ancestor means walking to the root.
   for (size_t i = path.size() - 1; i-- > 0;) {
-    const int node = path[i];
-    const double n = static_cast<double>(structure_.NodeCount(path[i + 1]));
-    prediction = (n * prediction + params_.smoothing * structure_.NodeMean(node)) /
+    const RegressionTree::Node& node = nodes[static_cast<size_t>(path[i])];
+    const double n =
+        static_cast<double>(nodes[static_cast<size_t>(path[i + 1])].count);
+    prediction = (n * prediction + params_.smoothing * node.mean) /
                  (n + params_.smoothing);
   }
   return prediction;
@@ -139,17 +140,6 @@ util::Result<std::vector<double>> M5Tree::PredictBatch(
   out.reserve(rows.size());
   for (size_t r : rows) out.push_back(Predict(dataset, r));
   return out;
-}
-
-M5Tree::LeafModelView M5Tree::leaf_model(int node_id) const {
-  LeafModelView view;
-  const size_t id = static_cast<size_t>(node_id);
-  if (id < has_model_.size() && has_model_[id]) {
-    view.has_model = true;
-    view.intercept = leaf_models_[id].intercept;
-    view.weights = leaf_models_[id].weights;
-  }
-  return view;
 }
 
 // ---------------------------------------------------------------------------
@@ -170,11 +160,13 @@ std::string M5Tree::Serialize() const {
     out += "nfeature\t" + ref.name + "\n";
   }
   size_t model_count = 0;
-  for (uint8_t has : has_model_) model_count += has;
+  for (const std::optional<LeafModel>& model : leaf_models_) {
+    model_count += model.has_value();
+  }
   out += "leaf_models " + std::to_string(model_count) + "\n";
-  for (size_t id = 0; id < has_model_.size(); ++id) {
-    if (!has_model_[id]) continue;
-    const LeafModel& model = leaf_models_[id];
+  for (size_t id = 0; id < leaf_models_.size(); ++id) {
+    if (!leaf_models_[id]) continue;
+    const LeafModel& model = *leaf_models_[id];
     out += "leaf\t" + std::to_string(id) + "\t" +
            std::to_string(model.count) + "\t" +
            SerializeDouble(model.intercept);
@@ -278,14 +270,12 @@ util::Result<M5Tree> M5Tree::Deserialize(const std::string& text,
   if (!structure.ok()) return structure.status();
   tree.structure_ = std::move(*structure);
 
-  tree.leaf_models_.assign(tree.structure_.node_count(), LeafModel{});
-  tree.has_model_.assign(tree.structure_.node_count(), 0);
+  tree.leaf_models_.assign(tree.structure_.node_count(), std::nullopt);
   for (PendingModel& entry : pending) {
     if (entry.id >= tree.leaf_models_.size()) {
       return InvalidArgumentError("leaf model id out of range");
     }
     tree.leaf_models_[entry.id] = std::move(entry.model);
-    tree.has_model_[entry.id] = 1;
   }
   return tree;
 }

@@ -5,6 +5,7 @@
 #ifndef ROADMINE_ML_M5_TREE_H_
 #define ROADMINE_ML_M5_TREE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,13 +53,20 @@ class M5Tree : public Predictor {
   size_t leaf_count() const { return structure_.leaf_count(); }
   const RegressionTree& structure() const { return structure_; }
 
-  // Read-only state exports for model compilers (serve::FlatModel).
-  struct LeafModelView {
-    bool has_model = false;
+  // A leaf's linear model over numeric_features().
+  struct LeafModel {
     double intercept = 0.0;
     std::vector<double> weights;  // Parallel to numeric_features().
+    size_t count = 0;             // Training rows it was solved on.
   };
-  LeafModelView leaf_model(int node_id) const;
+  // The linear model of structure node `node_id`, or null when the node
+  // predicts its training mean (as every non-leaf and every leaf too
+  // small or ill-conditioned for a model does).
+  const LeafModel* leaf_model(size_t node_id) const {
+    return node_id < leaf_models_.size() && leaf_models_[node_id]
+               ? &*leaf_models_[node_id]
+               : nullptr;
+  }
   const std::vector<FeatureRef>& numeric_features() const {
     return numeric_features_;
   }
@@ -70,20 +78,12 @@ class M5Tree : public Predictor {
                                           const data::Dataset& dataset);
 
  private:
-  struct LeafModel {
-    double intercept = 0.0;
-    // Weight per numeric feature (parallel to numeric_features_).
-    std::vector<double> weights;
-    size_t count = 0;
-  };
-
   M5TreeParams params_;
   RegressionTree structure_;
   std::vector<FeatureRef> numeric_features_;
-  // Leaf id (node index in `structure_`) -> model; missing ids fall back to
-  // the structural leaf mean.
-  std::vector<LeafModel> leaf_models_;
-  std::vector<uint8_t> has_model_;
+  // Node index in `structure_` -> model; empty entries fall back to the
+  // structural node mean.
+  std::vector<std::optional<LeafModel>> leaf_models_;
 };
 
 }  // namespace roadmine::ml

@@ -48,28 +48,9 @@ Status RegressionTree::Fit(const data::Dataset& dataset,
   return Status::Ok();
 }
 
-int RegressionTree::LeafId(const data::Dataset& dataset, size_t row) const {
-  int id = 0;
-  while (!nodes_[static_cast<size_t>(id)].is_leaf) {
-    id = nodes_[static_cast<size_t>(id)].Child(features_, dataset, row);
-  }
-  return id;
-}
-
-std::vector<int> RegressionTree::PathToLeaf(const data::Dataset& dataset,
-                                            size_t row) const {
-  std::vector<int> path;
-  int id = 0;
-  path.push_back(id);
-  while (!nodes_[static_cast<size_t>(id)].is_leaf) {
-    id = nodes_[static_cast<size_t>(id)].Child(features_, dataset, row);
-    path.push_back(id);
-  }
-  return path;
-}
-
 double RegressionTree::Predict(const data::Dataset& dataset, size_t row) const {
-  return nodes_[static_cast<size_t>(LeafId(dataset, row))].mean;
+  return nodes_[static_cast<size_t>(FindLeaf(nodes_, features_, dataset, row))]
+      .mean;
 }
 
 util::Result<std::vector<double>> RegressionTree::PredictBatch(
@@ -124,19 +105,6 @@ std::string RegressionTree::ToString() const {
     }
   }
   return out;
-}
-
-std::vector<RegressionTree::NodeView> RegressionTree::ExportNodes() const {
-  std::vector<NodeView> views;
-  views.reserve(nodes_.size());
-  for (const Node& node : nodes_) {
-    NodeView view;
-    static_cast<TreeNode&>(view) = node;
-    view.count = node.count;
-    view.mean = node.mean;
-    views.push_back(std::move(view));
-  }
-  return views;
 }
 
 // ---------------------------------------------------------------------------

@@ -68,18 +68,6 @@ class RegressionTree : public Predictor {
       const std::vector<size_t>& rows) const override;
   const char* name() const override { return "regression_tree"; }
 
-  // Stable id of the leaf a row lands in (for leaf-level analysis).
-  int LeafId(const data::Dataset& dataset, size_t row) const;
-
-  // Node ids from root to the reached leaf inclusive (for M5 smoothing).
-  std::vector<int> PathToLeaf(const data::Dataset& dataset, size_t row) const;
-
-  // Training statistics of any node (valid ids are < node_count()).
-  double NodeMean(int id) const { return nodes_[static_cast<size_t>(id)].mean; }
-  size_t NodeCount(int id) const {
-    return nodes_[static_cast<size_t>(id)].count;
-  }
-
   bool fitted() const { return !nodes_.empty(); }
   size_t leaf_count() const;
   int depth() const;
@@ -93,23 +81,21 @@ class RegressionTree : public Predictor {
   [[nodiscard]] static util::Result<RegressionTree> Deserialize(const std::string& text,
                                                   const data::Dataset& dataset);
 
-  // Read-only flat view of one fitted node for model compilers
-  // (serve::FlatModel). `mean`/`count` are exported for every node, not
-  // just leaves, because M5 smoothing walks ancestor statistics.
-  struct NodeView : TreeNode {
-    size_t count = 0;
-    double mean = 0.0;
-  };
-  std::vector<NodeView> ExportNodes() const;
-  const std::vector<FeatureRef>& features() const { return features_; }
-
- private:
+  // One fitted node: the training statistics of the rows that reach it. A
+  // leaf predicts `mean`; M5 smoothing reads every node's `mean` and
+  // `count` along a row's path.
   struct Node : TreeNode {
     size_t count = 0;
     double mean = 0.0;
     double sse = 0.0;  // Training sum of squared errors around `mean`.
   };
 
+  // The fitted records, node 0 the root, and the features their splits
+  // index (ml::FindLeaf descends them).
+  const std::vector<Node>& nodes() const { return nodes_; }
+  const std::vector<FeatureRef>& features() const { return features_; }
+
+ private:
   RegressionTreeParams params_;
   std::vector<FeatureRef> features_;
   std::vector<Node> nodes_;

@@ -71,17 +71,16 @@ void AppendFeatureSection(const std::vector<FeatureRef>& features,
 // when it is not an integer or does not fit an int.
 [[nodiscard]] bool ParseChild(const std::string& text, int* child);
 
-// Checks the child links of a decoded tree: both children of every
-// internal node (`is_leaf(node)` false) lie after it and inside the tree,
-// and no node is a child twice. Every Fit produces this shape — children
-// are appended after their parent — and it rules out cycles and shared
+// Checks the child links of a decoded tree of TreeNode records: both
+// children of every internal node lie after it and inside the tree, and
+// no node is a child twice. Every Fit produces this shape — children are
+// appended after their parent — and it rules out cycles and shared
 // subtrees, so a descent from node 0 always ends at a leaf.
-template <typename Node, typename IsLeaf>
-[[nodiscard]] util::Status CheckTreeLinks(const std::vector<Node>& nodes,
-                                          IsLeaf is_leaf) {
+template <typename Node>
+[[nodiscard]] util::Status CheckTreeLinks(const std::vector<Node>& nodes) {
   std::vector<uint8_t> is_child(nodes.size(), 0);
   for (size_t id = 0; id < nodes.size(); ++id) {
-    if (is_leaf(nodes[id])) continue;
+    if (nodes[id].is_leaf) continue;
     for (const int64_t child : {int64_t{nodes[id].left},
                                 int64_t{nodes[id].right}}) {
       if (child <= static_cast<int64_t>(id) ||
@@ -141,8 +140,7 @@ template <typename Node, typename ParseOwn>
     ROADMINE_RETURN_IF_ERROR(parse_own(parts, &node));
     nodes.push_back(std::move(node));
   }
-  ROADMINE_RETURN_IF_ERROR(
-      CheckTreeLinks(nodes, [](const Node& node) { return node.is_leaf; }));
+  ROADMINE_RETURN_IF_ERROR(CheckTreeLinks(nodes));
   return nodes;
 }
 

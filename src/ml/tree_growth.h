@@ -59,9 +59,12 @@ struct SplitStats {
 // fits (bagging, CV trainers, the study sweep) decide by it.
 bool ReadsFeatureIndex(bool use_feature_index, bool use_histogram);
 
-// The fields every tree node record shares: its place in the tree and,
-// unless it is a leaf, its split. The root is node 0; a split appends its
-// left then its right child, so children always follow their parent.
+// The one node record of every tree model (decision tree, regression
+// tree and so M5, the bagged ensemble's members, GBT): its place in the
+// tree and, unless it is a leaf, its split. Each learner derives its node
+// from it and adds only its leaf payload and statistics. The root is node
+// 0; a split appends its left then its right child, so children always
+// follow their parent.
 struct TreeNode {
   bool is_leaf = true;
   int depth = 0;
@@ -92,6 +95,26 @@ struct TreeNode {
                : right;
   }
 };
+
+// The one descent over fitted node records: the id of the leaf that `row`
+// of `dataset` reaches from node 0 of `nodes`, whose split features index
+// `features`. When `path` is non-null it is replaced by the ids of every
+// node visited, root first and the leaf last. Every tree model's
+// per-row prediction, M5's smoothing and reduced-error pruning descend
+// through it; serve::FlatModel is the compiled form of the same routing.
+template <typename Node>
+int FindLeaf(const std::vector<Node>& nodes,
+             const std::vector<FeatureRef>& features,
+             const data::Dataset& dataset, size_t row,
+             std::vector<int>* path = nullptr) {
+  if (path != nullptr) path->assign(1, 0);
+  int id = 0;
+  while (!nodes[static_cast<size_t>(id)].is_leaf) {
+    id = nodes[static_cast<size_t>(id)].Child(features, dataset, row);
+    if (path != nullptr) path->push_back(id);
+  }
+  return id;
+}
 
 // One node of a grown tree.
 struct GrownNode : TreeNode {

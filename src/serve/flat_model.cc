@@ -55,10 +55,11 @@ class FlatModelCompiler {
  public:
   explicit FlatModelCompiler(FlatModel* out) : out_(*out) {}
 
-  // Appends `nodes` as one tree. `leaf_value(view)` extracts the leaf
-  // payload; the node views must form a valid tree rooted at index 0.
-  template <typename NodeViewT, typename LeafValueFn>
-  util::Status AppendTree(const std::vector<NodeViewT>& nodes,
+  // Appends the fitted records `nodes` (ml::TreeNode and the learner's
+  // payload) as one tree. `leaf_value(node)` reads a leaf's payload; the
+  // nodes must form a valid tree rooted at index 0.
+  template <typename Node, typename LeafValueFn>
+  util::Status AppendTree(const std::vector<Node>& nodes,
                           const std::vector<ml::FeatureRef>& tree_features,
                           LeafValueFn leaf_value) {
     if (nodes.empty()) return InvalidArgumentError("tree has no nodes");
@@ -73,7 +74,7 @@ class FlatModelCompiler {
     const int32_t base = static_cast<int32_t>(out_.steps_.size());
     out_.roots_.push_back(base);
     for (size_t local = 0; local < nodes.size(); ++local) {
-      const NodeViewT& node = nodes[local];
+      const Node& node = nodes[local];
       FlatModel::Step step;
       if (node.is_leaf) {
         const int32_t self = base + static_cast<int32_t>(local);
@@ -135,16 +136,28 @@ class FlatModelCompiler {
   std::unordered_map<std::string, int32_t> by_name_;
 };
 
+namespace {
+
+// Leaf payloads: a decision tree's Laplace-smoothed positive fraction
+// (what its PredictProba returns), a regression tree's training mean and
+// a GBT leaf's weight.
+double LaplaceLeaf(const ml::DecisionTreeClassifier::Node& node) {
+  return node.positive_fraction();
+}
+double MeanLeaf(const ml::RegressionTree::Node& node) { return node.mean; }
+double GbtLeaf(const ml::GradientBoostedTrees::Node& node) {
+  return node.leaf_value;
+}
+
+}  // namespace
+
 Result<FlatModel> CompileModel(const ml::DecisionTreeClassifier& model) {
   if (!model.fitted()) return util::FailedPreconditionError("tree not fitted");
   FlatModel flat;
   flat.kind_ = FlatModel::Kind::kDecisionTree;
   FlatModelCompiler compiler(&flat);
-  ROADMINE_RETURN_IF_ERROR(compiler.AppendTree(
-      model.ExportNodes(), model.features(),
-      [](const ml::DecisionTreeClassifier::NodeView& node) {
-        return node.leaf_value;
-      }));
+  ROADMINE_RETURN_IF_ERROR(
+      compiler.AppendTree(model.nodes(), model.features(), LaplaceLeaf));
   ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
 }
@@ -157,11 +170,8 @@ Result<FlatModel> CompileModel(const ml::BaggedTreesClassifier& model) {
   flat.kind_ = FlatModel::Kind::kBaggedTrees;
   FlatModelCompiler compiler(&flat);
   for (const ml::DecisionTreeClassifier& tree : model.trees()) {
-    ROADMINE_RETURN_IF_ERROR(compiler.AppendTree(
-        tree.ExportNodes(), tree.features(),
-        [](const ml::DecisionTreeClassifier::NodeView& node) {
-          return node.leaf_value;
-        }));
+    ROADMINE_RETURN_IF_ERROR(
+        compiler.AppendTree(tree.nodes(), tree.features(), LaplaceLeaf));
   }
   ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
@@ -172,9 +182,8 @@ Result<FlatModel> CompileModel(const ml::RegressionTree& model) {
   FlatModel flat;
   flat.kind_ = FlatModel::Kind::kRegressionTree;
   FlatModelCompiler compiler(&flat);
-  ROADMINE_RETURN_IF_ERROR(compiler.AppendTree(
-      model.ExportNodes(), model.features(),
-      [](const ml::RegressionTree::NodeView& node) { return node.mean; }));
+  ROADMINE_RETURN_IF_ERROR(
+      compiler.AppendTree(model.nodes(), model.features(), MeanLeaf));
   ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
 }
@@ -184,11 +193,10 @@ Result<FlatModel> CompileModel(const ml::M5Tree& model) {
   FlatModel flat;
   flat.kind_ = FlatModel::Kind::kM5Tree;
   FlatModelCompiler compiler(&flat);
-  const std::vector<ml::RegressionTree::NodeView> nodes =
-      model.structure().ExportNodes();
-  ROADMINE_RETURN_IF_ERROR(compiler.AppendTree(
-      nodes, model.structure().features(),
-      [](const ml::RegressionTree::NodeView& node) { return node.mean; }));
+  const std::vector<ml::RegressionTree::Node>& nodes =
+      model.structure().nodes();
+  ROADMINE_RETURN_IF_ERROR(
+      compiler.AppendTree(nodes, model.structure().features(), MeanLeaf));
 
   flat.smoothing_ = model.smoothing();
   flat.lm_features_ = model.numeric_features();
@@ -198,16 +206,15 @@ Result<FlatModel> CompileModel(const ml::M5Tree& model) {
   for (size_t id = 0; id < nodes.size(); ++id) {
     flat.node_mean_.push_back(nodes[id].mean);
     flat.node_n_.push_back(static_cast<double>(nodes[id].count));
-    const ml::M5Tree::LeafModelView lm =
-        model.leaf_model(static_cast<int>(id));
-    if (!lm.has_model) continue;
-    if (lm.weights.size() != flat.lm_features_.size()) {
+    const ml::M5Tree::LeafModel* lm = model.leaf_model(id);
+    if (lm == nullptr) continue;
+    if (lm->weights.size() != flat.lm_features_.size()) {
       return InvalidArgumentError("leaf model width mismatch");
     }
     flat.lm_offset_[id] = static_cast<int32_t>(flat.lm_pool_.size());
-    flat.lm_pool_.push_back(lm.intercept);
-    flat.lm_pool_.insert(flat.lm_pool_.end(), lm.weights.begin(),
-                         lm.weights.end());
+    flat.lm_pool_.push_back(lm->intercept);
+    flat.lm_pool_.insert(flat.lm_pool_.end(), lm->weights.begin(),
+                         lm->weights.end());
   }
   ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;
@@ -222,11 +229,8 @@ Result<FlatModel> CompileModel(const ml::GradientBoostedTrees& model) {
   flat.base_score_ = model.base_score();
   FlatModelCompiler compiler(&flat);
   for (size_t t = 0; t < model.tree_count(); ++t) {
-    ROADMINE_RETURN_IF_ERROR(compiler.AppendTree(
-        model.ExportTreeNodes(t), model.features(),
-        [](const ml::GradientBoostedTrees::NodeView& node) {
-          return node.leaf_value;
-        }));
+    ROADMINE_RETURN_IF_ERROR(
+        compiler.AppendTree(model.tree(t), model.features(), GbtLeaf));
   }
   ROADMINE_RETURN_IF_ERROR(flat.Link());
   return flat;

@@ -264,7 +264,7 @@ TEST(DecisionTreeTest, SplitsAdjacentRepresentableDoubles) {
   for (size_t r = 0; r < ds.num_rows(); ++r) {
     EXPECT_EQ(tree.Predict(ds, r), r % 2 == 0 ? 0 : 1) << "row " << r;
   }
-  for (const auto& node : tree.ExportNodes()) {
+  for (const auto& node : tree.nodes()) {
     if (node.is_leaf) continue;
     EXPECT_GE(node.threshold, a);
     EXPECT_LT(node.threshold, b);
@@ -292,7 +292,7 @@ TEST(DecisionTreeTest, SplitsHugeMagnitudeFeaturesWithoutOverflow) {
   for (size_t r = 0; r < ds.num_rows(); ++r) {
     EXPECT_EQ(tree.Predict(ds, r), r % 2 == 0 ? 0 : 1) << "row " << r;
   }
-  for (const auto& node : tree.ExportNodes()) {
+  for (const auto& node : tree.nodes()) {
     if (node.is_leaf) continue;
     EXPECT_TRUE(std::isfinite(node.threshold));
   }

@@ -110,10 +110,11 @@ TEST(RegressionTreeTest, PathToLeafStartsAtRootEndsAtLeaf) {
   data::Dataset ds = StepDataset(1000, 0.5, 9);
   RegressionTree tree;
   ASSERT_TRUE(tree.Fit(ds, "y", {"x"}, ds.AllRowIndices()).ok());
-  const std::vector<int> path = tree.PathToLeaf(ds, 0);
+  std::vector<int> path;
+  const int leaf = FindLeaf(tree.nodes(), tree.features(), ds, 0, &path);
   ASSERT_GE(path.size(), 1u);
   EXPECT_EQ(path.front(), 0);
-  EXPECT_EQ(path.back(), tree.LeafId(ds, 0));
+  EXPECT_EQ(path.back(), leaf);
 }
 
 TEST(RegressionTreeTest, MissingTargetRejected) {
@@ -176,7 +177,7 @@ TEST(RegressionTreeTest, SplitsHugeMagnitudeFeaturesWithoutOverflow) {
   RegressionTree tree(params);
   ASSERT_TRUE(tree.Fit(ds, "y", {"x"}, ds.AllRowIndices()).ok());
   EXPECT_EQ(tree.leaf_count(), 2u);
-  for (const auto& node : tree.ExportNodes()) {
+  for (const auto& node : tree.nodes()) {
     if (node.is_leaf) continue;
     EXPECT_TRUE(std::isfinite(node.threshold));
   }
