@@ -130,6 +130,20 @@ Status FeatureEncoder::Fit(const Dataset& dataset,
   return Fit(source, feature_columns);
 }
 
+util::Status FeatureEncoder::CheckSchema(const Dataset& dataset) const {
+  for (size_t i = 0; i < plans_.size(); ++i) {
+    const ColumnPlan& plan = plans_[i];
+    if (plan.column_index >= dataset.num_columns() ||
+        dataset.column(plan.column_index).name() != column_names_[i] ||
+        dataset.column(plan.column_index).type() != plan.type) {
+      return InvalidArgumentError(
+          "dataset schema does not match the fitted schema at column '" +
+          column_names_[i] + "'");
+    }
+  }
+  return util::Status::Ok();
+}
+
 void FeatureEncoder::EncodeRow(const Dataset& dataset, size_t row,
                                std::vector<double>& out) const {
   out.assign(feature_dim_, 0.0);
@@ -153,17 +167,7 @@ Result<std::vector<std::vector<double>>> FeatureEncoder::Transform(
   if (feature_dim_ == 0) {
     return util::FailedPreconditionError("encoder not fitted");
   }
-  // Encoding addresses columns by position, so the dataset must carry the
-  // fitted columns at the fitted indices (the normal case: train/validation
-  // rows of one Dataset).
-  for (const ColumnPlan& plan : plans_) {
-    if (plan.column_index >= dataset.num_columns() ||
-        dataset.column(plan.column_index).name() !=
-            column_names_[&plan - plans_.data()]) {
-      return InvalidArgumentError(
-          "dataset schema does not match the fitted schema");
-    }
-  }
+  ROADMINE_RETURN_IF_ERROR(CheckSchema(dataset));
   std::vector<std::vector<double>> matrix(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     EncodeRow(dataset, rows[i], matrix[i]);

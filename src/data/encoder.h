@@ -88,12 +88,19 @@ class FeatureEncoder {
     return feature_names_;
   }
 
+  // Checks that `dataset` carries every fitted column at its fitted index,
+  // with its fitted name and type (InvalidArgument otherwise): encoding
+  // addresses columns by position.
+  [[nodiscard]] util::Status CheckSchema(const Dataset& dataset) const;
+
   // Encodes one row into `out` (resized to feature_dim()). The dataset must
-  // have the fitted columns (checked by Transform; EncodeRow assumes it).
+  // pass CheckSchema and `row` must be inside it; EncodeRow checks
+  // neither.
   void EncodeRow(const Dataset& dataset, size_t row,
                  std::vector<double>& out) const;
 
-  // Encodes many rows into a row-major matrix.
+  // Encodes many rows, each inside `dataset`, into a row-major matrix;
+  // fails when the dataset does not pass CheckSchema.
   [[nodiscard]] util::Result<std::vector<std::vector<double>>> Transform(
       const Dataset& dataset, const std::vector<size_t>& rows) const;
 

@@ -118,6 +118,10 @@ int BaggedTreesClassifier::Predict(const data::Dataset& dataset, size_t row,
 util::Result<std::vector<double>> BaggedTreesClassifier::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!fitted()) return util::FailedPreconditionError("ensemble not fitted");
+  for (const DecisionTreeClassifier& tree : trees_) {
+    ROADMINE_RETURN_IF_ERROR(CheckPredictInput(tree.features(), dataset, {}));
+  }
+  ROADMINE_RETURN_IF_ERROR(CheckRowRange(rows, dataset.num_rows()));
   std::vector<double> probs(rows.size());
   // Chunks are independent reads of fitted trees into index-addressed
   // slots, so the output is thread-count-invariant at any chunking. The

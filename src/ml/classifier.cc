@@ -39,14 +39,6 @@ class Adapter : public BinaryClassifier {
 
 }  // namespace
 
-util::Result<std::vector<double>> BinaryClassifier::PredictBatch(
-    const data::Dataset& dataset, const std::vector<size_t>& rows) const {
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (size_t row : rows) out.push_back(PredictProba(dataset, row));
-  return out;
-}
-
 const std::vector<std::string>& KnownClassifierNames() {
   static const std::vector<std::string>& names = *new std::vector<std::string>{
       "decision_tree", "naive_bayes", "logistic_regression", "neural_net",

@@ -36,15 +36,12 @@ class BinaryClassifier : public Predictor {
                            const std::vector<std::string>& feature_columns,
                            const std::vector<size_t>& rows) = 0;
 
-  // P(positive) for one row of a dataset with the fitted schema.
+  // P(positive) for one row. The per-row call is the unchecked hot path:
+  // it trusts that `dataset` carries the fitted schema and that `row` is
+  // inside it. PredictBatch, which every implementation forwards to the
+  // concrete model's batch path, checks both (see ml::Predictor).
   virtual double PredictProba(const data::Dataset& dataset,
                               size_t row) const = 0;
-
-  // The Predictor batch entry point. The default is a serial loop over
-  // PredictProba; adapters forward to the concrete model's batch path.
-  [[nodiscard]] util::Result<std::vector<double>> PredictBatch(
-      const data::Dataset& dataset,
-      const std::vector<size_t>& rows) const override;
 
   // Probability-typed alias of PredictBatch, kept because classifier call
   // sites read better asking for probabilities.
@@ -53,6 +50,7 @@ class BinaryClassifier : public Predictor {
     return PredictBatch(dataset, rows);
   }
 
+  // Hard prediction at `cutoff`; unchecked, like PredictProba.
   int Predict(const data::Dataset& dataset, size_t row,
               double cutoff = 0.5) const {
     return PredictProba(dataset, row) >= cutoff ? 1 : 0;

@@ -39,6 +39,21 @@ util::Status CheckRowRange(std::span<const size_t> rows, size_t num_rows) {
   return util::Status::Ok();
 }
 
+util::Status CheckPredictInput(const std::vector<FeatureRef>& features,
+                               const data::Dataset& dataset,
+                               std::span<const size_t> rows) {
+  for (const FeatureRef& ref : features) {
+    if (ref.column_index >= dataset.num_columns() ||
+        dataset.column(ref.column_index).name() != ref.name ||
+        dataset.column(ref.column_index).type() != ref.type) {
+      return InvalidArgumentError(
+          "dataset schema does not match the fitted schema at column '" +
+          ref.name + "'");
+    }
+  }
+  return CheckRowRange(rows, dataset.num_rows());
+}
+
 util::Status CheckFitRows(const std::vector<size_t>& rows, size_t num_rows) {
   if (rows.empty()) return InvalidArgumentError("cannot fit on 0 rows");
   return CheckRowRange(rows, num_rows);

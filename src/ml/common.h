@@ -45,6 +45,15 @@ struct FeatureRef {
   std::string name;
 };
 
+// Validates a scoring batch against a model's fitted features: the column
+// at each fitted index must carry the fitted name and type (else
+// InvalidArgument), and every row id must pass CheckRowRange. Every
+// learner's PredictBatch calls it first; the per-row PredictProba and
+// Predict calls stay unchecked.
+[[nodiscard]] util::Status CheckPredictInput(
+    const std::vector<FeatureRef>& features, const data::Dataset& dataset,
+    std::span<const size_t> rows);
+
 // Resolves feature names against a dataset; errors if a name is absent or
 // names the target column.
 [[nodiscard]] util::Result<std::vector<FeatureRef>> ResolveFeatures(

@@ -95,6 +95,7 @@ int DecisionTreeClassifier::Predict(const data::Dataset& dataset, size_t row,
 util::Result<std::vector<double>> DecisionTreeClassifier::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!fitted()) return util::FailedPreconditionError("tree not fitted");
+  ROADMINE_RETURN_IF_ERROR(CheckPredictInput(features_, dataset, rows));
   std::vector<double> probs;
   probs.reserve(rows.size());
   for (size_t r : rows) probs.push_back(PredictProba(dataset, r));

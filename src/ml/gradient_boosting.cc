@@ -963,15 +963,7 @@ double GradientBoostedTrees::PredictProba(const data::Dataset& dataset,
 Result<std::vector<double>> GradientBoostedTrees::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!fitted()) return util::FailedPreconditionError("model not fitted");
-  for (const FeatureRef& ref : features_) {
-    if (ref.column_index >= dataset.num_columns() ||
-        dataset.column(ref.column_index).name() != ref.name ||
-        dataset.column(ref.column_index).type() != ref.type) {
-      return InvalidArgumentError(
-          "dataset schema does not match the fitted schema at column '" +
-          ref.name + "'");
-    }
-  }
+  ROADMINE_RETURN_IF_ERROR(CheckPredictInput(features_, dataset, rows));
   std::vector<double> out;
   out.reserve(rows.size());
   for (size_t r : rows) out.push_back(PredictProba(dataset, r));
@@ -1070,7 +1062,7 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Deserialize(
         }
         node.feature = static_cast<size_t>(value);
       }
-      if (!util::ParseDouble(parts[3], &node.threshold)) {
+      if (!ParseThreshold(parts[3], &node.threshold)) {
         return InvalidArgumentError("bad threshold");
       }
       if (!util::ParseInt(parts[4], &value)) {

@@ -91,6 +91,8 @@ int LogisticRegression::Predict(const data::Dataset& dataset, size_t row,
 util::Result<std::vector<double>> LogisticRegression::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!fitted_) return util::FailedPreconditionError("model not fitted");
+  ROADMINE_RETURN_IF_ERROR(encoder_.CheckSchema(dataset));
+  ROADMINE_RETURN_IF_ERROR(CheckRowRange(rows, dataset.num_rows()));
   std::vector<double> probs;
   probs.reserve(rows.size());
   for (size_t r : rows) probs.push_back(PredictProba(dataset, r));

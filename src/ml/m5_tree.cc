@@ -96,6 +96,10 @@ Status M5Tree::Fit(const data::Dataset& dataset,
     for (size_t j = 0; j < d; ++j) {
       model.intercept -= model.weights[j] * x_mean[j];
     }
+    // Infinite feature values solve to NaN or infinite weights, which no
+    // model file can carry (a non-finite weight or feature mean leaves the
+    // intercept non-finite too): such a leaf predicts its mean as well.
+    if (!std::isfinite(model.intercept)) continue;
     leaf_models_[static_cast<size_t>(leaf)] = std::move(model);
   }
   return Status::Ok();
@@ -136,6 +140,9 @@ double M5Tree::Predict(const data::Dataset& dataset, size_t row) const {
 util::Result<std::vector<double>> M5Tree::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!fitted()) return util::FailedPreconditionError("tree not fitted");
+  ROADMINE_RETURN_IF_ERROR(
+      CheckPredictInput(structure_.features(), dataset, rows));
+  ROADMINE_RETURN_IF_ERROR(CheckPredictInput(numeric_features_, dataset, {}));
   std::vector<double> out;
   out.reserve(rows.size());
   for (size_t r : rows) out.push_back(Predict(dataset, r));

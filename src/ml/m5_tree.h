@@ -34,8 +34,8 @@ class M5Tree : public Predictor {
       : params_(params), structure_(params_.tree) {}
 
   // Grows the structural tree, then fits a ridge model per leaf on the
-  // numeric features (intercept-only when a leaf is too small or the
-  // normal equations are ill-conditioned).
+  // numeric features (intercept-only when a leaf is too small, the normal
+  // equations are ill-conditioned or the solved model is not finite).
   [[nodiscard]] util::Status Fit(const data::Dataset& dataset,
                    const std::string& target_column,
                    const std::vector<std::string>& feature_columns,

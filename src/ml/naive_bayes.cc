@@ -132,6 +132,7 @@ int NaiveBayesClassifier::Predict(const data::Dataset& dataset, size_t row,
 util::Result<std::vector<double>> NaiveBayesClassifier::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!fitted_) return util::FailedPreconditionError("model not fitted");
+  ROADMINE_RETURN_IF_ERROR(CheckPredictInput(features_, dataset, rows));
   std::vector<double> probs;
   probs.reserve(rows.size());
   for (size_t r : rows) probs.push_back(PredictProba(dataset, r));

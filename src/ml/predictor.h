@@ -31,8 +31,12 @@ class Predictor {
 
   // Scores `rows` of `dataset` in order: one value per entry. Binary
   // classifiers return P(positive); regression models return the predicted
-  // target. Errors when the model is unfitted or the dataset does not
-  // carry the fitted schema.
+  // target. Fails with FailedPrecondition when the model is unfitted, and
+  // with InvalidArgument when the dataset does not carry every fitted
+  // column, by name and type, at its fitted index, or when a row id is
+  // past the dataset (an empty list is valid). Every implementation checks
+  // this before it reads a row; the learners' per-row PredictProba and
+  // Predict calls check nothing.
   [[nodiscard]] virtual util::Result<std::vector<double>> PredictBatch(
       const data::Dataset& dataset, const std::vector<size_t>& rows) const = 0;
 

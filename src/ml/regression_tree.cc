@@ -56,6 +56,7 @@ double RegressionTree::Predict(const data::Dataset& dataset, size_t row) const {
 util::Result<std::vector<double>> RegressionTree::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!fitted()) return util::FailedPreconditionError("tree not fitted");
+  ROADMINE_RETURN_IF_ERROR(CheckPredictInput(features_, dataset, rows));
   std::vector<double> out;
   out.reserve(rows.size());
   for (size_t r : rows) out.push_back(Predict(dataset, r));

@@ -78,6 +78,14 @@ util::Result<std::vector<FeatureRef>> ParseFeatureSection(
   return features;
 }
 
+bool ParseThreshold(const std::string& text, double* value) {
+  if (text == "-inf") {
+    *value = -std::numeric_limits<double>::infinity();
+    return true;
+  }
+  return util::ParseDouble(text, value);
+}
+
 bool ParseChild(const std::string& text, int* child) {
   int64_t value = 0;
   if (!util::ParseInt(text, &value) ||
@@ -123,7 +131,7 @@ util::Status ParseTreeNodeFields(const std::vector<std::string>& parts,
   if (!node->is_leaf && node->feature >= num_features) {
     return InvalidArgumentError("feature index out of range");
   }
-  if (!util::ParseDouble(parts[4], &node->threshold)) {
+  if (!ParseThreshold(parts[4], &node->threshold)) {
     return InvalidArgumentError("bad threshold");
   }
   if (!util::ParseInt(parts[5], &value)) {

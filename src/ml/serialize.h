@@ -67,6 +67,12 @@ void AppendFeatureSection(const std::vector<FeatureRef>& features,
 [[nodiscard]] util::Result<int64_t> ParseCountLine(LineCursor& cursor,
                                      const std::string& keyword);
 
+// Parses a split threshold: what util::ParseDouble accepts, plus exactly
+// "-inf". A numeric column that holds -inf splits there (SplitMidpoint(-inf,
+// x) is -inf), and `x <= -inf` routes it; NaN and +inf stay refused, since
+// no split produces them and FlatModel's kernel cannot route them.
+[[nodiscard]] bool ParseThreshold(const std::string& text, double* value);
+
 // Parses a tree node's child field into the int the trees store; false
 // when it is not an integer or does not fit an int.
 [[nodiscard]] bool ParseChild(const std::string& text, int* child);

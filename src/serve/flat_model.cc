@@ -799,7 +799,7 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
     int64_t feature = 0, missing = 0, left = 0, right = 0, lm_offset = 0;
     double threshold = 0.0, leaf_value = 0.0, mean = 0.0, n = 0.0;
     if (!util::ParseInt(parts[1], &feature) ||
-        !util::ParseDouble(parts[2], &threshold) ||
+        !ml::ParseThreshold(parts[2], &threshold) ||
         !util::ParseInt(parts[3], &missing) ||
         !util::ParseInt(parts[4], &left) ||
         !util::ParseInt(parts[5], &right) ||

@@ -1,7 +1,9 @@
 // Every learner's Fit(dataset, ..., rows) validates the row list before it
 // indexes a per-row array with a row id: an empty list, or any id at or
 // past the dataset's row count, is an InvalidArgumentError, never an
-// out-of-bounds read.
+// out-of-bounds read. Every learner's PredictBatch validates its input the
+// same way: the fitted columns by name and type, and every row id.
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -119,6 +121,103 @@ INSTANTIATE_TEST_SUITE_P(
                       "logistic_regression", "neural_net",
                       "poisson_regression", "zero_inflated_poisson",
                       "kmeans"));
+
+std::unique_ptr<Predictor> FitPredictor(const std::string& learner,
+                                        const data::Dataset& ds) {
+  const auto fitted = [&ds](auto model) -> std::unique_ptr<Predictor> {
+    EXPECT_TRUE(model.Fit(ds, "y", {"x", "c"}, ds.AllRowIndices()).ok());
+    return std::make_unique<decltype(model)>(std::move(model));
+  };
+  if (learner == "decision_tree") return fitted(DecisionTreeClassifier());
+  if (learner == "regression_tree") return fitted(RegressionTree());
+  if (learner == "m5_tree") return fitted(M5Tree());
+  if (learner == "bagged_trees") {
+    return fitted(BaggedTreesClassifier(BaggedTreesParams{.num_trees = 3}));
+  }
+  if (learner == "gradient_boosted_trees") {
+    return fitted(
+        GradientBoostedTrees(GradientBoostedTreesParams{.num_trees = 3}));
+  }
+  if (learner == "naive_bayes") return fitted(NaiveBayesClassifier());
+  if (learner == "logistic_regression") return fitted(LogisticRegression());
+  if (learner == "neural_net") {
+    return fitted(NeuralNetClassifier(NeuralNetParams{.epochs = 2}));
+  }
+  ADD_FAILURE() << "unknown learner " << learner;
+  return nullptr;
+}
+
+// SmallDataset's 200 rows with x and c replaced by the given columns.
+data::Dataset WithFeatures(data::Column x, data::Column c) {
+  data::Dataset ds;
+  EXPECT_TRUE(ds.AddColumn(std::move(x)).ok());
+  EXPECT_TRUE(ds.AddColumn(std::move(c)).ok());
+  EXPECT_TRUE(ds.AddColumn(SmallDataset().column(2)).ok());  // y.
+  return ds;
+}
+
+class PredictRowsTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    model_ = FitPredictor(GetParam(), ds_);
+    ASSERT_NE(model_, nullptr);
+  }
+
+  util::StatusCode CodeOf(const data::Dataset& ds,
+                          const std::vector<size_t>& rows) const {
+    return model_->PredictBatch(ds, rows).status().code();
+  }
+
+  const data::Dataset ds_ = SmallDataset();
+  std::unique_ptr<Predictor> model_;
+};
+
+TEST_P(PredictRowsTest, ScoresInRangeRowsAndAnEmptyList) {
+  auto all = model_->PredictBatch(ds_, ds_.AllRowIndices());
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->size(), ds_.num_rows());
+  auto none = model_->PredictBatch(ds_, {});
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_TRUE(none->empty());
+}
+
+TEST_P(PredictRowsTest, RejectsRowPastTheEnd) {
+  for (const size_t past : {ds_.num_rows(), size_t{1} << 40}) {
+    std::vector<size_t> rows = ds_.AllRowIndices();
+    rows.insert(rows.begin() + 50, past);
+    EXPECT_EQ(CodeOf(ds_, rows), util::StatusCode::kInvalidArgument) << past;
+  }
+}
+
+TEST_P(PredictRowsTest, RejectsDatasetWithoutAFittedColumn) {
+  // A numeric "z" sits where the fitted "x" was.
+  const data::Dataset renamed =
+      WithFeatures(data::Column::Numeric("z", ds_.column(0).numeric_values()),
+                   ds_.column(1));
+  EXPECT_EQ(CodeOf(renamed, {0, 1, 2}), util::StatusCode::kInvalidArgument);
+}
+
+TEST_P(PredictRowsTest, RejectsColumnOfTheOtherType) {
+  std::vector<std::string> x_names, c_names;
+  std::vector<double> c_values;
+  for (size_t r = 0; r < ds_.num_rows(); ++r) {
+    x_names.push_back(r % 2 == 0 ? "low" : "high");
+    c_values.push_back(static_cast<double>(ds_.column(1).CodeAt(r)));
+  }
+  const data::Dataset categorical_x = WithFeatures(
+      data::Column::CategoricalFromStrings("x", x_names), ds_.column(1));
+  EXPECT_EQ(CodeOf(categorical_x, {0, 1, 2}),
+            util::StatusCode::kInvalidArgument);
+  const data::Dataset numeric_c =
+      WithFeatures(ds_.column(0), data::Column::Numeric("c", c_values));
+  EXPECT_EQ(CodeOf(numeric_c, {0, 1, 2}), util::StatusCode::kInvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPredictor, PredictRowsTest,
+    ::testing::Values("decision_tree", "regression_tree", "m5_tree",
+                      "bagged_trees", "gradient_boosted_trees", "naive_bayes",
+                      "logistic_regression", "neural_net"));
 
 // Reduced-error pruning reads its validation rows the same way: an empty
 // list or an id past the dataset is an InvalidArgumentError, and the tree

@@ -3,9 +3,13 @@
 // predictions — across randomized roadgen datasets with missing values.
 #include "serve/model_store.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +25,7 @@
 #include "roadgen/dataset_builder.h"
 #include "roadgen/generator.h"
 #include "serve/flat_model.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace roadmine::serve {
@@ -110,6 +115,155 @@ TEST(ModelIoTest, EveryModelTypeRoundTrips) {
     ASSERT_TRUE(flat.ok());
     ExpectRoundTrip(*flat, ds, "flat_decision_tree");
   }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// 200 rows whose numeric x cycles through -inf, +inf, -0.0, NaN (missing),
+// the smallest denormal, +-1e308, 0.0 and two ordinary values, beside a
+// uniform w and a categorical c. The 0/1 target y is 1 for the first four
+// (with 10% of labels flipped), so trees split at and between the special
+// values.
+data::Dataset SpecialValuesDataset() {
+  const double values[] = {-kInf,
+                           kInf,
+                           -0.0,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::denorm_min(),
+                           1e308,
+                           -1e308,
+                           0.0,
+                           1.5,
+                           -2.5};
+  util::Rng rng(31);
+  std::vector<double> x, w, y;
+  std::vector<std::string> c;
+  for (size_t i = 0; i < 200; ++i) {
+    x.push_back(values[i % 10]);
+    w.push_back(rng.Uniform(0.0, 10.0));
+    c.push_back(i % 3 == 0 ? "sealed" : "unsealed");
+    y.push_back((i % 10 < 4) != rng.Bernoulli(0.1) ? 1.0 : 0.0);
+  }
+  data::Dataset ds;
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("w", w)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::CategoricalFromStrings("c", c)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
+  return ds;
+}
+
+// 200 rows with x = -inf on every fifth row, those rows positive, and the
+// others 20% positive: every tree model splits at -inf.
+data::Dataset NegativeInfinityDataset() {
+  util::Rng rng(5);
+  std::vector<double> x, w, y;
+  std::vector<std::string> c;
+  for (size_t i = 0; i < 200; ++i) {
+    const bool at_negative_infinity = i % 5 == 0;
+    x.push_back(at_negative_infinity ? -kInf : rng.Uniform(0.0, 10.0));
+    w.push_back(rng.Uniform(0.0, 10.0));
+    c.push_back(rng.Bernoulli(0.5) ? "sealed" : "unsealed");
+    y.push_back(at_negative_infinity || rng.Bernoulli(0.2) ? 1.0 : 0.0);
+  }
+  data::Dataset ds;
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("w", w)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::CategoricalFromStrings("c", c)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
+  return ds;
+}
+
+// A fitted tree model survives its own file: Serialize∘Deserialize is a
+// fixpoint, the reloaded model scores every row bit for bit like the
+// fitted one (NaN scores included), and both compile to the same flat
+// bytes, which FlatModel::Deserialize accepts and writes back unchanged.
+template <typename Model>
+void ExpectFaithfulReload(const Model& model, const data::Dataset& ds,
+                          bool splits_at_negative_infinity) {
+  const std::string text = model.Serialize();
+  if (splits_at_negative_infinity) {
+    EXPECT_NE(text.find("\t-inf\t"), std::string::npos) << text;
+  }
+  auto loaded = Model::Deserialize(text, ds);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->Serialize(), text);
+
+  auto want = model.PredictBatch(ds, ds.AllRowIndices());
+  auto got = loaded->PredictBatch(ds, ds.AllRowIndices());
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(want->size(), got->size());
+  for (size_t r = 0; r < want->size(); ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>((*want)[r]),
+              std::bit_cast<uint64_t>((*got)[r]))
+        << "row " << r << ": " << (*want)[r] << " vs " << (*got)[r];
+  }
+
+  auto flat = CompileModel(model);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  auto reloaded_flat = CompileModel(*loaded);
+  ASSERT_TRUE(reloaded_flat.ok()) << reloaded_flat.status().ToString();
+  const std::string flat_text = flat->Serialize();
+  EXPECT_EQ(reloaded_flat->Serialize(), flat_text);
+  auto flat_loaded = FlatModel::Deserialize(flat_text, ds);
+  ASSERT_TRUE(flat_loaded.ok()) << flat_loaded.status().ToString();
+  EXPECT_EQ(flat_loaded->Serialize(), flat_text);
+}
+
+// Fits every tree model family on `ds` (features x, w, c; target y) with
+// small leaves, and checks each reloads faithfully.
+void ExpectEveryTreeModelReloads(const data::Dataset& ds,
+                                 bool splits_at_negative_infinity) {
+  const std::vector<std::string> features = {"x", "w", "c"};
+  const std::vector<size_t> rows = ds.AllRowIndices();
+  ml::DecisionTreeParams tree;
+  tree.min_samples_split = 10;
+  tree.min_samples_leaf = 5;
+  ml::RegressionTreeParams regression;
+  regression.min_samples_split = 10;
+  regression.min_samples_leaf = 5;
+  {
+    SCOPED_TRACE("decision_tree");
+    ml::DecisionTreeClassifier model(tree);
+    ASSERT_TRUE(model.Fit(ds, "y", features, rows).ok());
+    ExpectFaithfulReload(model, ds, splits_at_negative_infinity);
+  }
+  {
+    SCOPED_TRACE("regression_tree");
+    ml::RegressionTree model(regression);
+    ASSERT_TRUE(model.Fit(ds, "y", features, rows).ok());
+    ExpectFaithfulReload(model, ds, splits_at_negative_infinity);
+  }
+  {
+    SCOPED_TRACE("m5_tree");
+    ml::M5Tree model(ml::M5TreeParams{.tree = regression});
+    ASSERT_TRUE(model.Fit(ds, "y", features, rows).ok());
+    ExpectFaithfulReload(model, ds, splits_at_negative_infinity);
+  }
+  {
+    SCOPED_TRACE("bagged_trees");
+    ml::BaggedTreesClassifier model(
+        ml::BaggedTreesParams{.num_trees = 3, .tree = tree});
+    ASSERT_TRUE(model.Fit(ds, "y", features, rows).ok());
+    ExpectFaithfulReload(model, ds, splits_at_negative_infinity);
+  }
+  {
+    SCOPED_TRACE("gradient_boosted_trees");
+    ml::GradientBoostedTrees model(
+        ml::GradientBoostedTreesParams{.num_trees = 5});
+    ASSERT_TRUE(model.Fit(ds, "y", features, rows).ok());
+    ExpectFaithfulReload(model, ds, splits_at_negative_infinity);
+  }
+}
+
+TEST(ModelIoTest, TreeModelsReloadFromColumnsOfSpecialValues) {
+  ExpectEveryTreeModelReloads(SpecialValuesDataset(),
+                              /*splits_at_negative_infinity=*/false);
+}
+
+TEST(ModelIoTest, TreeModelsSplitAtNegativeInfinityReload) {
+  ExpectEveryTreeModelReloads(NegativeInfinityDataset(),
+                              /*splits_at_negative_infinity=*/true);
 }
 
 TEST(ModelIoTest, FileRoundTrip) {
