@@ -145,159 +145,8 @@ JsonWriter& JsonWriter::Raw(std::string_view json) {
 
 namespace {
 
-// Recursive-descent validator. `pos` advances past the parsed value.
-class Validator {
- public:
-  explicit Validator(std::string_view text) : text_(text) {}
-
-  util::Status Run() {
-    SkipSpace();
-    ROADMINE_RETURN_IF_ERROR(Value(0));
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON value");
-    }
-    return util::Status::Ok();
-  }
-
- private:
-  util::Status Error(const std::string& what) const {
-    return util::InvalidArgumentError("invalid JSON at byte " +
-                                      std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeWord(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  util::Status Value(int depth) {
-    if (depth > 128) return Error("nesting too deep");
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return Object(depth);
-    if (c == '[') return Array(depth);
-    if (c == '"') return StringValue();
-    if (c == '-' || (c >= '0' && c <= '9')) return NumberValue();
-    if (ConsumeWord("true") || ConsumeWord("false") || ConsumeWord("null")) {
-      return util::Status::Ok();
-    }
-    return Error("unexpected character");
-  }
-
-  util::Status Object(int depth) {
-    ++pos_;  // '{'
-    SkipSpace();
-    if (Consume('}')) return util::Status::Ok();
-    while (true) {
-      SkipSpace();
-      ROADMINE_RETURN_IF_ERROR(StringValue());
-      SkipSpace();
-      if (!Consume(':')) return Error("expected ':' in object");
-      SkipSpace();
-      ROADMINE_RETURN_IF_ERROR(Value(depth + 1));
-      SkipSpace();
-      if (Consume('}')) return util::Status::Ok();
-      if (!Consume(',')) return Error("expected ',' or '}' in object");
-    }
-  }
-
-  util::Status Array(int depth) {
-    ++pos_;  // '['
-    SkipSpace();
-    if (Consume(']')) return util::Status::Ok();
-    while (true) {
-      SkipSpace();
-      ROADMINE_RETURN_IF_ERROR(Value(depth + 1));
-      SkipSpace();
-      if (Consume(']')) return util::Status::Ok();
-      if (!Consume(',')) return Error("expected ',' or ']' in array");
-    }
-  }
-
-  util::Status StringValue() {
-    if (!Consume('"')) return Error("expected string");
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return util::Status::Ok();
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 1; i <= 4; ++i) {
-            if (pos_ + static_cast<size_t>(i) >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(
-                    text_[pos_ + static_cast<size_t>(i)]))) {
-              return Error("bad \\u escape");
-            }
-          }
-          pos_ += 4;
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return Error("bad escape character");
-        }
-      }
-      ++pos_;
-    }
-    return Error("unterminated string");
-  }
-
-  util::Status NumberValue() {
-    Consume('-');  // optional sign; bool result is advisory. roadmine-lint: allow(dropped-status)
-    if (!DigitRun()) return Error("expected digits");
-    if (Consume('.')) {
-      if (!DigitRun()) return Error("expected fraction digits");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (!DigitRun()) return Error("expected exponent digits");
-    }
-    return util::Status::Ok();
-  }
-
-  bool DigitRun() {
-    const size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-// Recursive-descent parser building a JsonValue DOM. Mirrors the
-// Validator's grammar; kept separate so validation stays allocation-free.
+// Recursive-descent parser building a JsonValue DOM; ValidateJson runs it
+// too and drops the document.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -507,7 +356,7 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 }
 
 util::Status ValidateJson(std::string_view text) {
-  return Validator(text).Run();
+  return ParseJson(text).status();
 }
 
 util::Result<JsonValue> ParseJson(std::string_view text) {

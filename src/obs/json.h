@@ -1,10 +1,11 @@
 // Minimal JSON support for the observability layer: an append-style
 // writer with deterministic number formatting (so run manifests and
-// bench reports are byte-for-byte reproducible for equal inputs), and a
-// small validating parser used by tests and the bench smoke check.
+// bench reports are byte-for-byte reproducible for equal inputs), and one
+// small parser (ParseJson; ValidateJson runs it) that reads reports back
+// for bench_compare, the bench smoke checks and tests.
 //
-// This is deliberately not a general DOM library; roadmine only ever
-// writes JSON and needs to *validate* what it wrote.
+// This is deliberately not a general JSON library: roadmine only reads
+// back what it wrote.
 #ifndef ROADMINE_OBS_JSON_H_
 #define ROADMINE_OBS_JSON_H_
 
@@ -62,7 +63,8 @@ class JsonWriter {
 };
 
 // Validates that `text` is exactly one well-formed JSON value (objects,
-// arrays, strings, numbers, booleans, null) with no trailing garbage.
+// arrays, strings, numbers, booleans, null) with no trailing garbage:
+// ParseJson(text).status(), the one JSON reader.
 util::Status ValidateJson(std::string_view text);
 
 // Minimal owning JSON document for the few places that *read* JSON back

@@ -84,6 +84,16 @@ TEST(ParseJsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseJson("{\"a\" 1}").ok());
 }
 
+// ValidateJson rejects what ParseJson rejects, with ParseJson's message.
+TEST(ValidateJsonTest, RejectsMalformedDocumentsWithParseJsonsMessage) {
+  for (const char* text :
+       {"", "{", "[1,]", "{\"a\": 1} trailing", "'single'", "{\"a\" 1}"}) {
+    const util::Status parsed = ParseJson(text).status();
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(ValidateJson(text).ToString(), parsed.ToString()) << text;
+  }
+}
+
 TEST(ParseJsonTest, RoundTripsWriterOutput) {
   JsonWriter w;
   w.BeginObject();
