@@ -532,9 +532,8 @@ class GradientBoostedTrees::Grower {
                   size_t id = leaf_[base + i] == kUnsampled ? 0 : leaf_[base + i];
                   while (!tree_[id].is_leaf) {
                     const Node& node = tree_[id];
-                    id = static_cast<size_t>(GoesLeft(id, codes[node.feature][i])
-                                                 ? node.left
-                                                 : node.right);
+                    const bool left = GoesLeft(id, codes[node.feature][i]);
+                    id = static_cast<size_t>(left ? node.left : node.right);
                   }
                   margin_[base + i] += tree_[id].leaf_value;
                 }

@@ -1,6 +1,7 @@
 #include "ml/m5_tree.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +105,34 @@ TEST(M5TreeTest, TinyLeavesFallBackToMeans) {
   EXPECT_TRUE(std::isfinite(p));
   EXPECT_GT(p, 0.0);
   EXPECT_LT(p, 4.0);
+}
+
+TEST(M5TreeTest, LeafOfInfiniteFeatureValuesFallsBackToMean) {
+  // x = -inf on every fifth row, those rows positive: the structure splits
+  // them into a leaf of their own, whose normal equations solve to NaN.
+  util::Rng rng(5);
+  std::vector<double> x, w, y;
+  for (size_t i = 0; i < 200; ++i) {
+    const bool at_negative_infinity = i % 5 == 0;
+    x.push_back(at_negative_infinity ? -std::numeric_limits<double>::infinity()
+                                      : rng.Uniform(0.0, 10.0));
+    w.push_back(rng.Uniform(0.0, 10.0));
+    y.push_back(at_negative_infinity || rng.Bernoulli(0.2) ? 1.0 : 0.0);
+  }
+  data::Dataset ds;
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("w", w)).ok());
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
+  M5TreeParams params;
+  params.tree.min_samples_split = 10;
+  params.tree.min_samples_leaf = 5;
+  M5Tree m5(params);
+  ASSERT_TRUE(m5.Fit(ds, "y", {"x", "w"}, ds.AllRowIndices()).ok());
+  auto scores = m5.PredictBatch(ds, ds.AllRowIndices());
+  ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+  for (size_t r = 0; r < scores->size(); ++r) {
+    EXPECT_TRUE(std::isfinite((*scores)[r])) << "row " << r;
+  }
 }
 
 TEST(M5TreeTest, SmoothingMovesPredictionTowardAncestors) {
