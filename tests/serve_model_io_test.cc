@@ -119,6 +119,19 @@ TEST(ModelIoTest, EveryModelTypeRoundTrips) {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Numeric x and w, categorical c and the 0/1 target y.
+data::Dataset FeaturesAndTarget(const std::vector<double>& x,
+                                const std::vector<double>& w,
+                                const std::vector<std::string>& c,
+                                const std::vector<double>& y) {
+  data::Dataset ds;
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("w", w)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::CategoricalFromStrings("c", c)).ok());
+  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
+  return ds;
+}
+
 // 200 rows whose numeric x cycles through -inf, +inf, -0.0, NaN (missing),
 // the smallest denormal, +-1e308, 0.0 and two ordinary values, beside a
 // uniform w and a categorical c. The 0/1 target y is 1 for the first four
@@ -144,12 +157,7 @@ data::Dataset SpecialValuesDataset() {
     c.push_back(i % 3 == 0 ? "sealed" : "unsealed");
     y.push_back((i % 10 < 4) != rng.Bernoulli(0.1) ? 1.0 : 0.0);
   }
-  data::Dataset ds;
-  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
-  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("w", w)).ok());
-  EXPECT_TRUE(ds.AddColumn(data::Column::CategoricalFromStrings("c", c)).ok());
-  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
-  return ds;
+  return FeaturesAndTarget(x, w, c, y);
 }
 
 // 200 rows with x = -inf on every fifth row, those rows positive, and the
@@ -165,12 +173,7 @@ data::Dataset NegativeInfinityDataset() {
     c.push_back(rng.Bernoulli(0.5) ? "sealed" : "unsealed");
     y.push_back(at_negative_infinity || rng.Bernoulli(0.2) ? 1.0 : 0.0);
   }
-  data::Dataset ds;
-  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
-  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("w", w)).ok());
-  EXPECT_TRUE(ds.AddColumn(data::Column::CategoricalFromStrings("c", c)).ok());
-  EXPECT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
-  return ds;
+  return FeaturesAndTarget(x, w, c, y);
 }
 
 // A fitted tree model survives its own file: Serialize∘Deserialize is a
