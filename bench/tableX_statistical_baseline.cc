@@ -81,8 +81,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   {
-    auto r2 =
-        eval::RSquared(glm.PredictMeanMany(ds, split->validation), actual);
+    auto means = glm.PredictMeanMany(ds, split->validation);
+    if (!means.ok()) return 1;
+    auto r2 = eval::RSquared(*means, actual);
     regression_table.AddRow(
         {"Poisson GLM", util::FormatDouble(r2.ok() ? *r2 : 0.0, 4),
          "pseudo-R2 " + util::FormatDouble(glm.pseudo_r_squared(), 3)});

@@ -11,32 +11,6 @@ using util::InvalidArgumentError;
 using util::Result;
 using util::Status;
 
-void RunningMoments::Merge(const RunningMoments& other) {
-  if (other.n == 0) return;
-  if (n == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. pairwise combine.
-  const double total = static_cast<double>(n + other.n);
-  const double delta = other.mean - mean;
-  mean += delta * (static_cast<double>(other.n) / total);
-  m2 += other.m2 + delta * delta *
-                       (static_cast<double>(n) *
-                        static_cast<double>(other.n) / total);
-  n += other.n;
-}
-
-void EncoderAccumulator::Merge(const EncoderAccumulator& other) {
-  rows += other.rows;
-  if (numeric.size() < other.numeric.size()) {
-    numeric.resize(other.numeric.size());
-  }
-  for (size_t i = 0; i < other.numeric.size(); ++i) {
-    numeric[i].Merge(other.numeric[i]);
-  }
-}
-
 Status FeatureEncoder::Fit(RowSource& source,
                            const std::vector<std::string>& feature_columns) {
   const TableSchema& schema = source.schema();
@@ -71,7 +45,7 @@ Status FeatureEncoder::Fit(RowSource& source,
       if (col.type() != ColumnType::kNumeric) continue;
       RunningMoments& moments = acc.numeric[i];
       for (const double v : col.numeric_values()) {
-        if (std::isnan(v)) continue;
+        if (!std::isfinite(v)) continue;  // Missing, or +-inf.
         moments.Add(v);
       }
     }
@@ -93,6 +67,11 @@ Status FeatureEncoder::Fit(RowSource& source,
       plan.mean = moments.n > 0 ? moments.mean : 0.0;
       const double var = moments.Variance();
       plan.inv_std = var > 1e-12 ? 1.0 / std::sqrt(var) : 1.0;
+      // Moments that overflowed encode the column as 0 on every row.
+      if (!std::isfinite(plan.mean) || !std::isfinite(var)) {
+        plan.mean = 0.0;
+        plan.inv_std = 0.0;
+      }
       plan.width = 1;
       feature_names_.push_back(name);
     } else {
@@ -151,8 +130,9 @@ void FeatureEncoder::EncodeRow(const Dataset& dataset, size_t row,
     const Column& col = dataset.column(plan.column_index);
     if (plan.type == ColumnType::kNumeric) {
       const double v = col.NumericAt(row);
-      // Missing -> mean -> standardized 0 (already zero-initialized).
-      if (!std::isnan(v)) out[plan.offset] = (v - plan.mean) * plan.inv_std;
+      // Missing or +-inf -> mean -> standardized 0 (already
+      // zero-initialized).
+      if (std::isfinite(v)) out[plan.offset] = (v - plan.mean) * plan.inv_std;
     } else {
       const int32_t code = col.CodeAt(row);
       if (code >= 0 && static_cast<size_t>(code) < plan.width) {

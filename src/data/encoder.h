@@ -2,7 +2,10 @@
 // neural network, k-means). Trees and naive Bayes consume the Dataset
 // directly; these models need standardized numeric vectors:
 //   * numeric column  -> (x - mean) / std, missing imputed to the mean
-//                        (0 after standardization);
+//                        (0 after standardization); a non-finite value
+//                        (+-inf) counts as missing, and a column whose
+//                        moments overflow (values near +-DBL_MAX) gets
+//                        mean 0 and scale 0, so it encodes as 0;
 //   * categorical col -> one-hot over the training dictionary, missing and
 //                        unseen categories encode as all-zeros.
 // Fit statistics come from the training rows only, so validation encoding
@@ -27,11 +30,9 @@
 
 namespace roadmine::data {
 
-// Mergeable running moments of one numeric stream (missing skipped).
-// Add() is Welford's update — sequentially it reproduces the classic
-// in-RAM loop bit for bit. Merge() is Chan's pairwise combine, the hook
-// for future sharded fits (not used by the sequential streaming fit,
-// which must stay bit-identical to the in-RAM path).
+// Running moments of one numeric stream (missing skipped). Add() is
+// Welford's update — sequentially it reproduces the classic in-RAM loop
+// bit for bit.
 struct RunningMoments {
   uint64_t n = 0;
   double mean = 0.0;
@@ -44,22 +45,17 @@ struct RunningMoments {
     m2 += delta * (value - mean);
   }
 
-  void Merge(const RunningMoments& other);
-
   double Variance() const {
     return n > 1 ? m2 / static_cast<double>(n - 1) : 0.0;
   }
 };
 
-// Per-column fit state accumulated across chunks (and mergeable across
-// shards): one RunningMoments slot per fitted column (unused for
-// categorical columns, whose plan needs only the dictionary width from
-// the schema) plus the row count.
+// Per-column fit state accumulated across chunks: one RunningMoments slot
+// per fitted column (unused for categorical columns, whose plan needs only
+// the dictionary width from the schema) plus the row count.
 struct EncoderAccumulator {
   uint64_t rows = 0;
   std::vector<RunningMoments> numeric;
-
-  void Merge(const EncoderAccumulator& other);
 };
 
 class FeatureEncoder {

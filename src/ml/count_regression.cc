@@ -152,8 +152,11 @@ double PoissonRegression::PredictMean(const data::Dataset& dataset,
   return std::exp(std::clamp(eta, -kMaxEta, kMaxEta));
 }
 
-std::vector<double> PoissonRegression::PredictMeanMany(
+util::Result<std::vector<double>> PoissonRegression::PredictMeanMany(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
+  if (!fitted_) return util::FailedPreconditionError("model not fitted");
+  ROADMINE_RETURN_IF_ERROR(encoder_.CheckSchema(dataset));
+  ROADMINE_RETURN_IF_ERROR(CheckRowRange(rows, dataset.num_rows()));
   std::vector<double> out;
   out.reserve(rows.size());
   for (size_t r : rows) out.push_back(PredictMean(dataset, r));

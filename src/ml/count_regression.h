@@ -41,10 +41,13 @@ class PoissonRegression {
                    const std::vector<std::string>& feature_columns,
                    const std::vector<size_t>& rows);
 
-  // Expected count for one row.
+  // Expected count for one row; checks neither the schema nor `row`.
   double PredictMean(const data::Dataset& dataset, size_t row) const;
-  std::vector<double> PredictMeanMany(const data::Dataset& dataset,
-                                      const std::vector<size_t>& rows) const;
+  // Expected counts for many rows, in order. An unfitted model is
+  // FailedPrecondition; a dataset without the fitted columns, or a row id
+  // past it, is InvalidArgument.
+  [[nodiscard]] util::Result<std::vector<double>> PredictMeanMany(
+      const data::Dataset& dataset, const std::vector<size_t>& rows) const;
 
   bool fitted() const { return fitted_; }
   // Coefficients in encoded space (see encoder().feature_names()).

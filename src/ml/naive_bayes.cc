@@ -48,7 +48,7 @@ Status NaiveBayesClassifier::Fit(const data::Dataset& dataset,
       size_t n[2] = {0, 0};
       for (size_t r : rows) {
         const double v = col.NumericAt(r);
-        if (std::isnan(v)) continue;
+        if (!std::isfinite(v)) continue;  // Missing, or +-inf.
         const int y = (*labels)[r];
         ++n[y];
         const double delta = v - mean[y];
@@ -56,10 +56,13 @@ Status NaiveBayesClassifier::Fit(const data::Dataset& dataset,
         m2[y] += delta * (v - mean[y]);
       }
       for (int y = 0; y < 2; ++y) {
-        model.gaussian[y].count = n[y];
-        model.gaussian[y].mean = mean[y];
         const double var =
             n[y] > 1 ? m2[y] / static_cast<double>(n[y] - 1) : 1.0;
+        // Moments that overflowed (values near +-DBL_MAX) give no
+        // estimate, like a class with fewer than two values.
+        if (!std::isfinite(mean[y]) || !std::isfinite(var)) continue;
+        model.gaussian[y].count = n[y];
+        model.gaussian[y].mean = mean[y];
         model.gaussian[y].variance = std::max(var, params_.min_variance);
       }
     } else {
@@ -102,6 +105,7 @@ double NaiveBayesClassifier::PredictProba(const data::Dataset& dataset,
     const FeatureModel& model = models_[f];
     if (ref.type == data::ColumnType::kNumeric) {
       const double v = col.NumericAt(row);
+      if (!std::isfinite(v)) continue;  // +-inf: no evidence either.
       for (int y = 0; y < 2; ++y) {
         const GaussianStats& g = model.gaussian[y];
         if (g.count < 2) continue;  // No usable class-conditional estimate.

@@ -3,7 +3,8 @@
 //
 // Numeric features use class-conditional Gaussians; categorical features
 // use Laplace-smoothed frequency tables. Missing values simply contribute
-// no likelihood term (the natural NB treatment of "missing as valid").
+// no likelihood term (the natural NB treatment of "missing as valid"); a
+// numeric +-inf counts as missing, in the fit and in scoring.
 #ifndef ROADMINE_ML_NAIVE_BAYES_H_
 #define ROADMINE_ML_NAIVE_BAYES_H_
 

@@ -50,75 +50,53 @@ const char* KindName(FlatModel::Kind kind) {
 // ---------------------------------------------------------------------------
 
 // Shared state while lowering one or more trees into a FlatModel: the
-// deduplicated feature table plus the growing node pool.
+// deduplicated feature table plus the trees appended so far.
 class FlatModelCompiler {
  public:
   explicit FlatModelCompiler(FlatModel* out) : out_(*out) {}
 
   // Appends the fitted records `nodes` (ml::TreeNode and the learner's
-  // payload) as one tree. `leaf_value(node)` reads a leaf's payload; the
-  // nodes must form a valid tree rooted at index 0.
-  template <typename Node, typename LeafValueFn>
-  util::Status AppendTree(const std::vector<Node>& nodes,
+  // payload) as one tree. `leaf_value(node)` reads a leaf's payload. A
+  // leaf keeps only its payload, and a numeric split no mask; Link()
+  // checks the links.
+  template <typename SourceNode, typename LeafValueFn>
+  util::Status AppendTree(const std::vector<SourceNode>& nodes,
                           const std::vector<ml::FeatureRef>& tree_features,
                           LeafValueFn leaf_value) {
     if (nodes.empty()) return InvalidArgumentError("tree has no nodes");
     // Map the tree's local feature indices into the shared table.
-    std::vector<int32_t> remap(tree_features.size());
+    std::vector<size_t> remap(tree_features.size());
     for (size_t f = 0; f < tree_features.size(); ++f) {
       auto mapped = MapFeature(tree_features[f]);
       if (!mapped.ok()) return mapped.status();
       remap[f] = *mapped;
     }
 
-    const int32_t base = static_cast<int32_t>(out_.steps_.size());
-    out_.roots_.push_back(base);
-    for (size_t local = 0; local < nodes.size(); ++local) {
-      const Node& node = nodes[local];
-      FlatModel::Step step;
-      if (node.is_leaf) {
-        const int32_t self = base + static_cast<int32_t>(local);
-        step.child[0] = self;
-        step.child[1] = self;
-        step.leaf = 1;
-        out_.steps_.push_back(step);
-        out_.leaf_value_.push_back(leaf_value(node));
+    std::vector<FlatModel::Node>& tree = out_.trees_.emplace_back();
+    tree.reserve(nodes.size());
+    for (const SourceNode& source : nodes) {
+      FlatModel::Node& node = tree.emplace_back();
+      if (source.is_leaf) {
+        node.leaf_value = leaf_value(source);
         continue;
       }
-      if (node.feature >= tree_features.size() || node.left < 0 ||
-          node.right < 0 || static_cast<size_t>(node.left) >= nodes.size() ||
-          static_cast<size_t>(node.right) >= nodes.size()) {
+      if (source.feature >= tree_features.size()) {
         return InvalidArgumentError("malformed split node");
       }
-      step.threshold = node.threshold;
-      step.child[0] = base + node.right;
-      step.child[1] = base + node.left;
-      step.slot = remap[node.feature];
-      step.missing_left = node.missing_goes_left ? 1 : 0;
-      if (tree_features[node.feature].type == data::ColumnType::kCategorical) {
-        step.mask_offset = static_cast<int32_t>(out_.mask_words_.size());
-        step.mask_nbits = static_cast<int32_t>(node.left_categories.size());
-        out_.mask_words_.resize(out_.mask_words_.size() +
-                                (node.left_categories.size() + 63) / 64);
-        for (size_t bit = 0; bit < node.left_categories.size(); ++bit) {
-          if (node.left_categories[bit] != 0) {
-            out_.mask_words_[static_cast<size_t>(step.mask_offset) +
-                             bit / 64] |= uint64_t{1} << (bit % 64);
-          }
-        }
+      static_cast<ml::TreeNode&>(node) = source;
+      node.feature = remap[source.feature];
+      if (tree_features[source.feature].type == data::ColumnType::kNumeric) {
+        node.left_categories.clear();
       }
-      out_.steps_.push_back(step);
-      out_.leaf_value_.push_back(0.0);
     }
     return util::Status::Ok();
   }
 
  private:
-  Result<int32_t> MapFeature(const ml::FeatureRef& ref) {
+  Result<size_t> MapFeature(const ml::FeatureRef& ref) {
     auto it = by_name_.find(ref.name);
     if (it != by_name_.end()) {
-      const ml::FeatureRef& existing =
-          out_.features_[static_cast<size_t>(it->second)];
+      const ml::FeatureRef& existing = out_.features_[it->second];
       if (existing.column_index != ref.column_index ||
           existing.type != ref.type) {
         return InvalidArgumentError("feature '" + ref.name +
@@ -126,14 +104,14 @@ class FlatModelCompiler {
       }
       return it->second;
     }
-    const int32_t id = static_cast<int32_t>(out_.features_.size());
+    const size_t id = out_.features_.size();
     out_.features_.push_back(ref);
     by_name_.emplace(ref.name, id);
     return id;
   }
 
   FlatModel& out_;
-  std::unordered_map<std::string, int32_t> by_name_;
+  std::unordered_map<std::string, size_t> by_name_;
 };
 
 namespace {
@@ -256,44 +234,16 @@ const char* FlatModel::name() const {
   return "flat_model";
 }
 
-Result<FlatModel::ResolvedColumns> FlatModel::ResolveColumns(
-    const data::Dataset& dataset) const {
-  ResolvedColumns resolved;
-  auto resolve = [&dataset](const ml::FeatureRef& ref)
-      -> Result<const data::Column*> {
-    if (ref.column_index >= dataset.num_columns() ||
-        dataset.column(ref.column_index).name() != ref.name) {
-      return InvalidArgumentError(
-          "dataset schema does not match the compiled schema at column '" +
-          ref.name + "'");
-    }
-    const data::Column& col = dataset.column(ref.column_index);
-    if (col.type() != ref.type) {
-      return InvalidArgumentError("column '" + ref.name +
-                                  "' has the wrong type");
-    }
-    return &col;
-  };
-  resolved.split_columns.reserve(features_.size());
-  for (const ml::FeatureRef& ref : features_) {
-    auto col = resolve(ref);
-    if (!col.ok()) return col.status();
-    resolved.split_columns.push_back(*col);
-  }
-  resolved.lm_columns.reserve(lm_features_.size());
-  for (const ml::FeatureRef& ref : lm_features_) {
-    auto col = resolve(ref);
-    if (!col.ok()) return col.status();
-    resolved.lm_columns.push_back(*col);
-  }
-  return resolved;
+size_t FlatModel::node_count() const {
+  size_t count = 0;
+  for (const std::vector<Node>& tree : trees_) count += tree.size();
+  return count;
 }
 
 Status FlatModel::Link() {
   // One breadth-first pass per tree lays out the kernel: a node's kernel
   // index is its position in kernel_node_, and a split's two children are
   // queued together, so they sit side by side.
-  std::vector<uint8_t> reached(steps_.size(), 0);
   std::vector<int32_t> depth_of;  // Parallel to kernel_node_.
   kernel_.clear();
   kernel_root_.clear();
@@ -301,51 +251,45 @@ Status FlatModel::Link() {
   kernel_node_.clear();
   gather_.clear();
   gather_masks_.clear();
-  const auto enqueue = [&](int32_t id, int32_t depth) -> Status {
-    if (reached[static_cast<size_t>(id)] != 0) {
-      return InvalidArgumentError("node " + std::to_string(id) +
-                                  " is reached twice: the nodes do not "
-                                  "form trees");
-    }
-    reached[static_cast<size_t>(id)] = 1;
-    kernel_node_.push_back(id);
-    depth_of.push_back(depth);
-    return Status::Ok();
-  };
-  depth_.assign(roots_.size(), 0);
-  if (kind_ == Kind::kM5Tree) parent_.assign(steps_.size(), kInvalid);
+  depth_.assign(trees_.size(), 0);
+  if (kind_ == Kind::kM5Tree) parent_.assign(trees_[0].size(), kInvalid);
   // Numeric block columns are keyed by (slot, missing direction);
   // categorical ones also by the mask trimmed after its highest set bit,
   // so splits that route every code alike share one.
-  using ColumnKey = std::tuple<int32_t, uint8_t, bool, std::vector<uint64_t>>;
+  using ColumnKey = std::tuple<size_t, bool, bool, std::vector<uint64_t>>;
   std::map<ColumnKey, int32_t> column_of;
-  for (size_t t = 0; t < roots_.size(); ++t) {
+  for (size_t t = 0; t < trees_.size(); ++t) {
+    const std::vector<Node>& nodes = trees_[t];
+    ROADMINE_RETURN_IF_ERROR(ml::CheckTreeLinks(nodes));
     kernel_root_.push_back(static_cast<int32_t>(kernel_node_.size()));
-    ROADMINE_RETURN_IF_ERROR(enqueue(roots_[t], 0));
+    kernel_node_.push_back(0);
+    depth_of.push_back(0);
     for (size_t k = kernel_.size(); k < kernel_node_.size(); ++k) {
       const int32_t id = kernel_node_[k];
-      const Step& step = steps_[static_cast<size_t>(id)];
+      const Node& node = nodes[static_cast<size_t>(id)];
       KernelStep out;
-      if (step.leaf != 0) {
+      if (node.is_leaf) {
         depth_[t] = std::max(depth_[t], depth_of[k]);
         out.threshold = std::numeric_limits<double>::infinity();
         out.left = static_cast<int32_t>(k);
         kernel_.push_back(out);
-        kernel_leaf_.push_back(leaf_value_[static_cast<size_t>(id)]);
+        kernel_leaf_.push_back(node.leaf_value);
         continue;
       }
       out.left = static_cast<int32_t>(kernel_node_.size());
-      for (const int32_t child : {step.child[1], step.child[0]}) {
-        if (!parent_.empty()) parent_[static_cast<size_t>(child)] = id;
-        ROADMINE_RETURN_IF_ERROR(enqueue(child, depth_of[k] + 1));
+      for (const int child : {node.left, node.right}) {
+        if (kind_ == Kind::kM5Tree && t == 0) {
+          parent_[static_cast<size_t>(child)] = id;
+        }
+        kernel_node_.push_back(child);
+        depth_of.push_back(depth_of[k] + 1);
       }
-      const bool categorical = step.mask_offset != kInvalid;
+      const bool categorical =
+          features_[node.feature].type == data::ColumnType::kCategorical;
       std::vector<uint64_t> mask;
       if (categorical) {
-        const size_t offset = static_cast<size_t>(step.mask_offset);
-        for (size_t bit = 0; bit < static_cast<size_t>(step.mask_nbits);
-             ++bit) {
-          if (((mask_words_[offset + bit / 64] >> (bit % 64)) & 1) != 0) {
+        for (size_t bit = 0; bit < node.left_categories.size(); ++bit) {
+          if (node.left_categories[bit] != 0) {
             mask.resize(bit / 64 + 1, 0);
             mask[bit / 64] |= uint64_t{1} << (bit % 64);
           }
@@ -356,21 +300,21 @@ Status FlatModel::Link() {
         // -inf stands for missing-left and +inf for missing-right, which
         // `v <= threshold` routes as the source model does only for
         // thresholds below +inf.
-        if (std::isnan(step.threshold) ||
-            step.threshold == std::numeric_limits<double>::infinity()) {
+        if (std::isnan(node.threshold) ||
+            node.threshold == std::numeric_limits<double>::infinity()) {
           return InvalidArgumentError("node " + std::to_string(id) +
                                       " has an unroutable threshold " +
-                                      ml::SerializeDouble(step.threshold));
+                                      ml::SerializeDouble(node.threshold));
         }
-        out.threshold = step.threshold;
+        out.threshold = node.threshold;
       }
       auto [it, added] = column_of.try_emplace(
-          ColumnKey{step.slot, step.missing_left, categorical, mask},
+          ColumnKey{node.feature, node.missing_goes_left, categorical, mask},
           static_cast<int32_t>(gather_.size()));
       if (added) {
         GatherColumn column;
-        column.slot = step.slot;
-        column.missing_left = step.missing_left;
+        column.slot = static_cast<int32_t>(node.feature);
+        column.missing_left = node.missing_goes_left ? 1 : 0;
         if (categorical) {
           column.mask_offset = static_cast<int32_t>(gather_masks_.size());
           column.mask_words = static_cast<int32_t>(mask.size());
@@ -390,50 +334,13 @@ Status FlatModel::Link() {
   return Status::Ok();
 }
 
-bool FlatModel::CategoryGoesLeft(const Step& step, int32_t code) const {
-  if (code < 0) return step.missing_left != 0;  // Negative code == missing.
-  const size_t bit = static_cast<size_t>(code);
-  return bit < static_cast<size_t>(step.mask_nbits) &&
-         ((mask_words_[static_cast<size_t>(step.mask_offset) + bit / 64] >>
-           (bit % 64)) &
-          1) != 0;
-}
-
-inline size_t FlatModel::FindLeaf(size_t t, const ResolvedColumns& columns,
-                                  size_t row,
-                                  std::vector<size_t>* path) const {
-  size_t id = static_cast<size_t>(roots_[t]);
-  for (;;) {
-    if (path != nullptr) path->push_back(id);
-    const Step& step = steps_[id];
-    if (step.leaf != 0) return id;
-    const data::Column& col =
-        *columns.split_columns[static_cast<size_t>(step.slot)];
-    bool go_left;
-    if (step.mask_offset == kInvalid) {
-      // NaN is data::Column's numeric missing encoding (== IsMissing).
-      const double v = col.NumericAt(row);
-      go_left = std::isnan(v) ? step.missing_left != 0 : v <= step.threshold;
-    } else {
-      go_left = CategoryGoesLeft(step, col.CodeAt(row));
-    }
-    // A branch, not a select: one row's descent gains more from
-    // speculating down a child than from waiting on the comparison.
-    if (go_left) [[likely]] {
-      id = static_cast<size_t>(step.child[1]);
-    } else {
-      id = static_cast<size_t>(step.child[0]);
-    }
-  }
-}
-
-void FlatModel::Gather(const ResolvedColumns& columns, const size_t* block,
+void FlatModel::Gather(const data::Dataset& dataset, const size_t* block,
                        size_t n, size_t stride, double* values) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (size_t c = 0; c < gather_.size(); ++c) {
     const GatherColumn& column = gather_[c];
-    const data::Column& col =
-        *columns.split_columns[static_cast<size_t>(column.slot)];
+    const data::Column& col = dataset.column(
+        features_[static_cast<size_t>(column.slot)].column_index);
     double* dst = values + c * stride;
     // NaN (data::Column's numeric missing encoding) becomes -inf where
     // missing goes left and +inf where it goes right. The copy and the
@@ -494,14 +401,15 @@ void FlatModel::Gather(const ResolvedColumns& columns, const size_t* block,
   std::copy(id, id + kLanes, leaf);
 }
 
-double FlatModel::LeafModel(size_t leaf, const ResolvedColumns& columns,
+double FlatModel::LeafModel(size_t leaf, const data::Dataset& dataset,
                             size_t row) const {
   const int32_t offset = lm_offset_[leaf];
   if (offset == kInvalid) return node_mean_[leaf];
   const double* weights = lm_pool_.data() + offset;
   double prediction = weights[0];
   for (size_t j = 0; j < lm_features_.size(); ++j) {
-    const double v = columns.lm_columns[j]->NumericAt(row);
+    const double v =
+        dataset.column(lm_features_[j].column_index).NumericAt(row);
     if (!std::isnan(v)) prediction += weights[1 + j] * v;
   }
   return prediction;
@@ -509,55 +417,16 @@ double FlatModel::LeafModel(size_t leaf, const ResolvedColumns& columns,
 
 Result<double> FlatModel::PredictRow(const data::Dataset& dataset,
                                      size_t row) const {
-  if (!compiled()) return util::FailedPreconditionError("model not compiled");
-  auto columns = ResolveColumns(dataset);
-  if (!columns.ok()) return columns.status();
-  ROADMINE_RETURN_IF_ERROR(ml::CheckRowRange({&row, 1}, dataset.num_rows()));
-  switch (kind_) {
-    case Kind::kDecisionTree:
-    case Kind::kRegressionTree:
-      return leaf_value_[FindLeaf(0, *columns, row, nullptr)];
-    case Kind::kBaggedTrees: {
-      // Member order matches the source ensemble, so the sum — and its
-      // rounding — is bit-identical to BaggedTreesClassifier.
-      double sum = 0.0;
-      for (size_t t = 0; t < roots_.size(); ++t) {
-        sum += leaf_value_[FindLeaf(t, *columns, row, nullptr)];
-      }
-      return sum / static_cast<double>(roots_.size());
-    }
-    case Kind::kGbt: {
-      // Accumulation starts at the base score and adds in member order —
-      // the exact expression GradientBoostedTrees::PredictProba evaluates.
-      double margin = base_score_;
-      for (size_t t = 0; t < roots_.size(); ++t) {
-        margin += leaf_value_[FindLeaf(t, *columns, row, nullptr)];
-      }
-      return 1.0 / (1.0 + std::exp(-margin));
-    }
-    case Kind::kM5Tree: {
-      std::vector<size_t> path;
-      const size_t leaf = FindLeaf(0, *columns, row, &path);
-      double prediction = LeafModel(leaf, *columns, row);
-      if (smoothing_ <= 0.0) return prediction;
-      // Quinlan smoothing along the recorded root-to-leaf path.
-      for (size_t i = path.size() - 1; i-- > 0;) {
-        const double n = node_n_[path[i + 1]];
-        prediction = (n * prediction + smoothing_ * node_mean_[path[i]]) /
-                     (n + smoothing_);
-      }
-      return prediction;
-    }
-  }
-  return 0.0;
+  auto scores = PredictBatch(dataset, {row});
+  if (!scores.ok()) return scores.status();
+  return scores->front();
 }
 
 Result<std::vector<double>> FlatModel::PredictBatch(
     const data::Dataset& dataset, const std::vector<size_t>& rows) const {
   if (!compiled()) return util::FailedPreconditionError("model not compiled");
-  auto columns = ResolveColumns(dataset);
-  if (!columns.ok()) return columns.status();
-  ROADMINE_RETURN_IF_ERROR(ml::CheckRowRange(rows, dataset.num_rows()));
+  ROADMINE_RETURN_IF_ERROR(ml::CheckPredictInput(features_, dataset, rows));
+  ROADMINE_RETURN_IF_ERROR(ml::CheckPredictInput(lm_features_, dataset, {}));
   std::vector<double> out(rows.size());
   if (rows.empty()) return out;
 
@@ -572,7 +441,7 @@ Result<std::vector<double>> FlatModel::PredictBatch(
   int32_t leaf[kBlockRows];
   double sum[kBlockRows];
   const bool ensemble = kind_ == Kind::kBaggedTrees || kind_ == Kind::kGbt;
-  const size_t trees = ensemble ? roots_.size() : 1;
+  const size_t trees = ensemble ? trees_.size() : 1;
   const double start = kind_ == Kind::kGbt ? base_score_ : 0.0;
   // A row's score from its leaf-value sum (ensembles) or its kernel leaf
   // (single-tree kinds; M5 evaluates the leaf model at `row`).
@@ -582,16 +451,16 @@ Result<std::vector<double>> FlatModel::PredictBatch(
       case Kind::kRegressionTree:
         return kernel_leaf_[static_cast<size_t>(kernel_leaf)];
       case Kind::kBaggedTrees:
-        return total / static_cast<double>(roots_.size());
+        return total / static_cast<double>(trees_.size());
       case Kind::kGbt:
         return 1.0 / (1.0 + std::exp(-total));
       case Kind::kM5Tree:
         break;
     }
     const int32_t node = kernel_node_[static_cast<size_t>(kernel_leaf)];
-    double prediction = LeafModel(static_cast<size_t>(node), *columns, row);
+    double prediction = LeafModel(static_cast<size_t>(node), dataset, row);
     if (smoothing_ > 0.0) {
-      // Quinlan smoothing from the leaf up: the path FindLeaf records,
+      // Quinlan smoothing from the leaf up: the path ml::FindLeaf records,
       // walked in the same order.
       for (int32_t child = node, parent;
            (parent = parent_[static_cast<size_t>(child)]) != kInvalid;
@@ -607,7 +476,7 @@ Result<std::vector<double>> FlatModel::PredictBatch(
   for (size_t begin = 0; begin < rows.size(); begin += kBlockRows) {
     const size_t n = std::min(kBlockRows, rows.size() - begin);
     const size_t* block = rows.data() + begin;
-    Gather(*columns, block, n, stride, values.data());
+    Gather(dataset, block, n, stride, values.data());
     // Each row starts from the base score (0 for bagging) and adds leaf
     // values in member order — the source ensembles' own expression, so
     // every sum rounds identically.
@@ -663,36 +532,45 @@ std::string FlatModel::Serialize() const {
   // features (empty for the other kinds).
   ml::AppendFeatureSection(features_, &out);
   ml::AppendFeatureSection(lm_features_, &out);
-  out += "roots " + std::to_string(roots_.size()) + "\n";
-  for (int32_t root : roots_) {
+  // Tree t's nodes follow tree t-1's, its children offset by its root.
+  out += "roots " + std::to_string(trees_.size()) + "\n";
+  size_t root = 0;
+  for (const std::vector<Node>& tree : trees_) {
     out += "root\t" + std::to_string(root) + "\n";
+    root += tree.size();
   }
-  out += "nodes " + std::to_string(node_count()) + "\n";
+  out += "nodes " + std::to_string(root) + "\n";
   const bool m5 = kind_ == Kind::kM5Tree;
-  for (size_t id = 0; id < node_count(); ++id) {
-    const Step& step = steps_[id];
-    const bool leaf = step.leaf != 0;
-    out += "node\t" + std::to_string(leaf ? kInvalid : step.slot) + "\t" +
-           ml::SerializeDouble(step.threshold) + "\t" +
-           std::to_string(static_cast<int>(step.missing_left)) + "\t" +
-           std::to_string(leaf ? kInvalid : step.child[1]) + "\t" +
-           std::to_string(leaf ? kInvalid : step.child[0]) + "\t" +
-           ml::SerializeDouble(leaf_value_[id]) + "\t" +
-           ml::SerializeDouble(m5 ? node_mean_[id] : 0.0) + "\t" +
-           ml::SerializeDouble(m5 ? node_n_[id] : 0.0) + "\t" +
-           std::to_string(m5 ? lm_offset_[id] : kInvalid) + "\t";
-    if (step.mask_offset != kInvalid) {
-      const size_t nbits = static_cast<size_t>(step.mask_nbits);
-      const size_t offset = static_cast<size_t>(step.mask_offset);
-      for (size_t bit = 0; bit < nbits; ++bit) {
-        out += ((mask_words_[offset + bit / 64] >> (bit % 64)) & 1) != 0
-                   ? '1'
-                   : '0';
+  size_t id = 0;
+  root = 0;
+  for (const std::vector<Node>& tree : trees_) {
+    for (const Node& node : tree) {
+      const auto child = [&](int local) {
+        return node.is_leaf ? std::to_string(kInvalid)
+                            : std::to_string(root + static_cast<size_t>(local));
+      };
+      out += "node\t" +
+             (node.is_leaf ? std::to_string(kInvalid)
+                           : std::to_string(node.feature)) +
+             "\t" + ml::SerializeDouble(node.threshold) + "\t" +
+             std::to_string(node.missing_goes_left ? 1 : 0) + "\t" +
+             child(node.left) + "\t" + child(node.right) + "\t" +
+             ml::SerializeDouble(node.leaf_value) + "\t" +
+             ml::SerializeDouble(m5 ? node_mean_[id] : 0.0) + "\t" +
+             ml::SerializeDouble(m5 ? node_n_[id] : 0.0) + "\t" +
+             std::to_string(m5 ? lm_offset_[id] : kInvalid) + "\t";
+      if (!node.is_leaf && features_[node.feature].type ==
+                               data::ColumnType::kCategorical) {
+        for (const uint8_t bit : node.left_categories) {
+          out += bit != 0 ? '1' : '0';
+        }
+      } else {
+        out += '-';
       }
-    } else {
-      out += '-';
+      out += "\n";
+      ++id;
     }
-    out += "\n";
+    root += tree.size();
   }
   out += "lm_pool " + std::to_string(lm_pool_.size()) + "\n";
   if (!lm_pool_.empty()) {
@@ -769,27 +647,39 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
   if (!lm_features.ok()) return lm_features.status();
   flat.lm_features_ = std::move(*lm_features);
 
+  // Tree t holds nodes [root t, root t+1): the roots start at 0 and
+  // ascend.
   auto root_count = ml::ParseCountLine(cursor, "roots");
   if (!root_count.ok()) return root_count.status();
   if (*root_count == 0) return InvalidArgumentError("model has no trees");
+  std::vector<int64_t> roots;
   for (int64_t t = 0; t < *root_count; ++t) {
     const std::string* line = cursor.Next();
     if (line == nullptr) return InvalidArgumentError("truncated root list");
     const std::vector<std::string> parts = util::Split(*line, '\t');
     int64_t root = 0;
     if (parts.size() != 2 || parts[0] != "root" ||
-        !util::ParseInt(parts[1], &root) || root < 0 ||
-        root > std::numeric_limits<int32_t>::max()) {
+        !util::ParseInt(parts[1], &root)) {
       return InvalidArgumentError("bad root line: " + *line);
     }
-    flat.roots_.push_back(static_cast<int32_t>(root));
+    if (roots.empty() ? root != 0 : root <= roots.back()) {
+      return InvalidArgumentError(
+          "roots must start at 0 and ascend: " + *line);
+    }
+    roots.push_back(root);
   }
 
   auto node_count = ml::ParseCountLine(cursor, "nodes");
   if (!node_count.ok()) return node_count.status();
   const int64_t node_total = *node_count;
+  if (roots.back() >= node_total) {
+    return InvalidArgumentError("root offset out of range");
+  }
   const bool m5 = flat.kind_ == Kind::kM5Tree;
+  flat.trees_.resize(roots.size());
+  size_t t = 0;
   for (int64_t id = 0; id < node_total; ++id) {
+    if (t + 1 < roots.size() && id == roots[t + 1]) ++t;
     const std::string* line = cursor.Next();
     if (line == nullptr) return InvalidArgumentError("truncated node list");
     const std::vector<std::string> parts = util::Split(*line, '\t');
@@ -797,28 +687,22 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
       return InvalidArgumentError("bad node line: " + *line);
     }
     int64_t feature = 0, missing = 0, left = 0, right = 0, lm_offset = 0;
-    double threshold = 0.0, leaf_value = 0.0, mean = 0.0, n = 0.0;
+    double mean = 0.0, n = 0.0;
+    Node node;
     if (!util::ParseInt(parts[1], &feature) ||
-        !ml::ParseThreshold(parts[2], &threshold) ||
+        !ml::ParseThreshold(parts[2], &node.threshold) ||
         !util::ParseInt(parts[3], &missing) ||
         !util::ParseInt(parts[4], &left) ||
         !util::ParseInt(parts[5], &right) ||
-        !util::ParseDouble(parts[6], &leaf_value) ||
+        !util::ParseDouble(parts[6], &node.leaf_value) ||
         !util::ParseDouble(parts[7], &mean) ||
         !util::ParseDouble(parts[8], &n) ||
         !util::ParseInt(parts[9], &lm_offset)) {
       return InvalidArgumentError("bad node line: " + *line);
     }
-    const std::string& mask = parts[10];
-    const bool is_leaf = feature < 0;
-    Step step;
-    step.threshold = threshold;
-    step.missing_left = missing != 0 ? 1 : 0;
-    if (is_leaf) {
-      step.child[0] = static_cast<int32_t>(id);
-      step.child[1] = static_cast<int32_t>(id);
-      step.leaf = 1;
-    } else {
+    node.missing_goes_left = missing != 0;
+    // A leaf is feature -1; its links and mask are not read.
+    if (feature >= 0) {
       if (static_cast<size_t>(feature) >= flat.features_.size() ||
           left < 0 || left >= node_total || right < 0 ||
           right >= node_total) {
@@ -829,41 +713,28 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
       const bool categorical =
           flat.features_[static_cast<size_t>(feature)].type ==
           data::ColumnType::kCategorical;
-      if (categorical != (mask != "-")) {
+      if (categorical != (parts[10] != "-")) {
         return InvalidArgumentError(
             "split mask disagrees with its feature's type: " + *line);
       }
-      step.child[0] = static_cast<int32_t>(right);
-      step.child[1] = static_cast<int32_t>(left);
-      step.slot = static_cast<int32_t>(feature);
       if (categorical) {
-        step.mask_offset = static_cast<int32_t>(flat.mask_words_.size());
-        step.mask_nbits = static_cast<int32_t>(mask.size());
-        flat.mask_words_.resize(flat.mask_words_.size() +
-                                (mask.size() + 63) / 64);
-        for (size_t bit = 0; bit < mask.size(); ++bit) {
-          if (mask[bit] == '1') {
-            flat.mask_words_[static_cast<size_t>(step.mask_offset) +
-                             bit / 64] |= uint64_t{1} << (bit % 64);
-          } else if (mask[bit] != '0') {
-            return InvalidArgumentError("bad category mask: " + mask);
-          }
-        }
+        ROADMINE_RETURN_IF_ERROR(
+            ml::ParseCategoryMask(parts[10], &node.left_categories));
       }
+      node.is_leaf = false;
+      node.feature = static_cast<size_t>(feature);
+      // Links are written file-wide; ml::CheckTreeLinks (in Link()) keeps
+      // them inside the tree.
+      node.left = static_cast<int>(left - roots[t]);
+      node.right = static_cast<int>(right - roots[t]);
     }
-    flat.steps_.push_back(step);
-    flat.leaf_value_.push_back(leaf_value);
+    flat.trees_[t].push_back(std::move(node));
     if (m5) {
       flat.node_mean_.push_back(mean);
       flat.node_n_.push_back(n);
       flat.lm_offset_.push_back(lm_offset < 0
                                     ? kInvalid
                                     : static_cast<int32_t>(lm_offset));
-    }
-  }
-  for (int32_t root : flat.roots_) {
-    if (root >= node_total) {
-      return InvalidArgumentError("root offset out of range");
     }
   }
 

@@ -1,41 +1,41 @@
 // Compiled flat models for serving.
 //
-// Training-side trees (ml::DecisionTreeClassifier, ml::RegressionTree,
-// ml::M5Tree, ml::BaggedTreesClassifier, ml::GradientBoostedTrees) store
-// nodes as per-node structs with heap-allocated category masks, which is
-// the right shape for growing but chases pointers at scoring time.
-// CompileModel() lowers any of them into a FlatModel: one contiguous pool
-// of packed step records (threshold, feature slot, children indexed by
-// the routing bit, missing direction, category-mask reference into a
-// shared bit pool) plus leaf payloads, traversed without touching the
-// training objects. A leaf's step points to itself.
+// CompileModel() lowers any fitted tree model (ml::DecisionTreeClassifier,
+// ml::RegressionTree, ml::M5Tree, ml::BaggedTreesClassifier,
+// ml::GradientBoostedTrees) into a FlatModel, which scores without
+// touching the training objects. It keeps the fitted ml::TreeNode records,
+// one vector per tree in member order, each split's feature remapped into
+// one feature table shared by all trees, plus each leaf's payload. A tree
+// is laid out as every learner fits it: node 0 its root, children after
+// their parent. In the model file tree t holds nodes [root t, root t+1):
+// the roots start at 0 and ascend, and children stay inside their tree.
 //
-// Loading (CompileModel or Deserialize) links the pool once: it rejects
-// nodes that do not form trees and numeric thresholds the block kernel
-// cannot route (NaN, +inf), records each tree's depth (and, for M5, each
-// node's parent), and builds a gather plan. The plan has one block column
-// per (numeric split feature, missing direction), holding the values with
-// NaN gathered as -inf where missing goes left and +inf where it goes
-// right, and one per distinct (categorical feature, mask, missing
-// direction), holding the split's routing bit as 0.0 (left) or 1.0
-// (right) under threshold 0.5. Every split is then one `value <=
+// Loading (CompileModel or Deserialize) links the trees once: it checks
+// each tree's links (ml::CheckTreeLinks) and rejects numeric thresholds
+// the block kernel cannot route (NaN, +inf), records each tree's depth
+// (and, for M5, each node's parent), and builds a gather plan. The plan
+// has one block column per (numeric split feature, missing direction),
+// holding the values with NaN gathered as -inf where missing goes left and
+// +inf where it goes right, and one per distinct (categorical feature,
+// mask, missing direction), holding the split's routing bit as 0.0 (left)
+// or 1.0 (right) under threshold 0.5. Every split is then one `value <=
 // threshold` test on one column, exactly the source model's routing for
 // any threshold that is finite or -inf.
 //
-// PredictBatch scores blocks of up to 64 rows: it gathers the plan's
-// columns for the block, then walks each group of eight rows through
-// every tree in member order, the eight together, picking each child
-// arithmetically from the comparison. Rows outside the groups of eight
-// (all of a one-row request) walk alone with a branch per level, which
-// suits a single dependent chain. PredictRow descends one row with
-// per-node branches over the source routing rules (FindLeaf), the
-// independent reference. Both reject row ids past the dataset.
+// PredictBatch checks its input with ml::CheckPredictInput, then scores
+// blocks of up to 64 rows: it gathers the plan's columns for the block,
+// then walks each group of eight rows through every tree in member order,
+// the eight together, picking each child arithmetically from the
+// comparison. Rows outside the groups of eight (all of a one-row request)
+// walk alone with a branch per level, which suits a single dependent
+// chain. PredictRow is PredictBatch over one row.
 //
 // Equivalence guarantee: a FlatModel's predictions are bit-identical to
-// the source model's PredictBatch on every dataset — routing, Laplace leaf
-// probabilities, ensemble averaging order (each row starts from the base
-// score and adds leaf values in member order), M5 leaf models and Quinlan
-// smoothing are replicated operation-for-operation (test-enforced by
+// the source model's PredictBatch, whose per-row descent is ml::FindLeaf,
+// on every dataset — routing, Laplace leaf probabilities, ensemble
+// averaging order (each row starts from the base score and adds leaf
+// values in member order), M5 leaf models and Quinlan smoothing are
+// replicated operation-for-operation (test-enforced by
 // serve_flat_model_test).
 #ifndef ROADMINE_SERVE_FLAT_MODEL_H_
 #define ROADMINE_SERVE_FLAT_MODEL_H_
@@ -52,6 +52,7 @@
 #include "ml/m5_tree.h"
 #include "ml/predictor.h"
 #include "ml/regression_tree.h"
+#include "ml/tree_growth.h"
 #include "util/status.h"
 
 namespace roadmine::serve {
@@ -68,35 +69,32 @@ class FlatModel : public ml::Predictor {
 
   FlatModel() = default;
 
-  // Scores one row (probability for classifiers, value for regressors).
-  // The dataset must pass the same schema check as PredictBatch; this
-  // single-row path re-resolves columns per call and exists for
-  // latency-sensitive one-off scoring. A row past the dataset is
-  // InvalidArgument.
+  // Scores one row (probability for classifiers, value for regressors):
+  // PredictBatch(dataset, {row}), with its checks.
   [[nodiscard]] util::Result<double> PredictRow(const data::Dataset& dataset,
                                   size_t row) const;
 
-  // Predictor: scores many rows in order. Resolves the feature schema
-  // against `dataset` once per batch, rejects any row past the dataset
-  // (InvalidArgument), then scores 64-row blocks through the gather plan.
+  // Predictor: scores many rows in order. Checks the split and leaf-model
+  // features against `dataset` and every row id (ml::CheckPredictInput;
+  // InvalidArgument), then scores 64-row blocks through the gather plan.
   [[nodiscard]] util::Result<std::vector<double>> PredictBatch(
       const data::Dataset& dataset,
       const std::vector<size_t>& rows) const override;
   const char* name() const override;
 
   Kind kind() const { return kind_; }
-  size_t node_count() const { return steps_.size(); }
-  size_t tree_count() const { return roots_.size(); }
-  bool compiled() const { return !roots_.empty(); }
+  size_t node_count() const;
+  size_t tree_count() const { return trees_.size(); }
+  bool compiled() const { return !trees_.empty(); }
 
   // Deployment persistence of the compiled form itself, so a serving
-  // process can load the flat pool without the training-side model.
+  // process can load the flat trees without the training-side model.
   std::string Serialize() const;
   [[nodiscard]] static util::Result<FlatModel> Deserialize(const std::string& text,
                                              const data::Dataset& dataset);
 
  private:
-  friend class FlatModelCompiler;  // Builds the pools during CompileModel().
+  friend class FlatModelCompiler;  // Builds the trees during CompileModel().
   // Tests set thresholds that no model file or training run can carry.
   friend class FlatModelTestPeer;
   friend util::Result<FlatModel> CompileModel(
@@ -108,27 +106,12 @@ class FlatModel : public ml::Predictor {
   friend util::Result<FlatModel> CompileModel(
       const ml::GradientBoostedTrees& model);
 
-  // Feature tables resolved against a scoring dataset (name + type checked
-  // at each stored column index), done once per batch.
-  struct ResolvedColumns {
-    std::vector<const data::Column*> split_columns;  // Parallel to features_.
-    std::vector<const data::Column*> lm_columns;  // Parallel to lm_features_.
-  };
-  [[nodiscard]] util::Result<ResolvedColumns> ResolveColumns(
-      const data::Dataset& dataset) const;
-
   static constexpr int32_t kInvalid = -1;
 
-  // One node of the pool, as the model file describes it.
-  struct Step {
-    double threshold = 0.0;           // Numeric split threshold.
-    int32_t child[2] = {0, 0};        // {right, left}; a leaf's are itself.
-    int32_t slot = 0;                 // Index into features_ (0 for a leaf).
-    int32_t mask_offset = kInvalid;   // Word offset into mask_words_;
-                                      // kInvalid = numeric split or leaf.
-    int32_t mask_nbits = 0;           // Category-mask width in bits.
-    uint8_t missing_left = 1;         // Missing value routing.
-    uint8_t leaf = 0;                 // 1 = leaf; its payload is leaf_value_.
+  // One node: the source model's record, its split feature indexing
+  // features_, plus its leaf payload (probability, mean or weight).
+  struct Node : ml::TreeNode {
+    double leaf_value = 0.0;
   };
 
   // One node as the block kernel reads it, in kernel order: breadth-first
@@ -154,24 +137,15 @@ class FlatModel : public ml::Predictor {
     int32_t mask_words = 0;
   };
 
-  // Run once the pool is filled: rejects any node reached twice from the
-  // roots (a cycle, or a node shared between parents or trees) and any
-  // numeric split whose threshold is NaN or +inf, records each tree's
-  // depth and, for M5, each node's parent, and builds the gather plan
-  // and the kernel steps.
+  // Run once the trees are filled: checks each tree's links
+  // (ml::CheckTreeLinks) and rejects any numeric split whose threshold is
+  // NaN or +inf, records each tree's depth and, for M5, each node's
+  // parent, and builds the gather plan and the kernel steps.
   [[nodiscard]] util::Status Link();
-
-  // Categorical routing at split `step` (negative code = missing).
-  bool CategoryGoesLeft(const Step& step, int32_t code) const;
-
-  // Root-to-leaf descent of tree `t` for one dataset row, one branch per
-  // node; appends visited node ids to `path` when it is non-null.
-  size_t FindLeaf(size_t t, const ResolvedColumns& columns, size_t row,
-                  std::vector<size_t>* path) const;
 
   // Fills rows [0, n) of every plan column (`values[c * stride + i]`)
   // from dataset rows `block[0, n)`.
-  void Gather(const ResolvedColumns& columns, const size_t* block, size_t n,
+  void Gather(const data::Dataset& dataset, const size_t* block, size_t n,
               size_t stride, double* values) const;
 
   // Walks eight rows of a gathered 64-row-stride block, starting at
@@ -181,7 +155,7 @@ class FlatModel : public ml::Predictor {
                     int32_t* leaf) const;
 
   // M5 leaf linear model at `row` (NaN features skipped), or the leaf mean.
-  double LeafModel(size_t leaf, const ResolvedColumns& columns,
+  double LeafModel(size_t leaf, const data::Dataset& dataset,
                    size_t row) const;
 
   Kind kind_ = Kind::kDecisionTree;
@@ -189,21 +163,15 @@ class FlatModel : public ml::Predictor {
   // Feature table shared by all trees (deduplicated by column name).
   std::vector<ml::FeatureRef> features_;
 
-  // Node pool, one step per node across all trees; children are absolute
-  // pool indices.
-  std::vector<Step> steps_;
-  std::vector<double> leaf_value_;     // Probability / mean payload.
-  std::vector<uint64_t> mask_words_;   // Packed left-category bitsets.
-
-  // Per-tree root offsets into the node pool, in member order, and each
-  // tree's depth in edges (set by Link()).
-  std::vector<int32_t> roots_;
+  // The trees in member order, node 0 each one's root, and each tree's
+  // depth in edges (set by Link()).
+  std::vector<std::vector<Node>> trees_;
   std::vector<int32_t> depth_;
 
   // Gather plan and kernel (set by Link()): the block columns and their
   // trimmed category masks; the kernel steps with each tree's root, and
-  // per kernel step its leaf payload (0 for a split) and its node in
-  // steps_.
+  // per kernel step its leaf payload (0 for a split) and its node in its
+  // tree.
   std::vector<GatherColumn> gather_;
   std::vector<uint64_t> gather_masks_;
   std::vector<KernelStep> kernel_;
@@ -211,7 +179,7 @@ class FlatModel : public ml::Predictor {
   std::vector<double> kernel_leaf_;
   std::vector<int32_t> kernel_node_;
 
-  // M5 extras (empty for the other kinds).
+  // M5 extras (empty for the other kinds), indexed by node of its tree.
   std::vector<double> node_mean_;      // Per-node training mean.
   std::vector<double> node_n_;         // Per-node training count (as double).
   std::vector<int32_t> lm_offset_;     // Offset into lm_pool_; kInvalid = none.

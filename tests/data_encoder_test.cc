@@ -74,6 +74,29 @@ TEST(FeatureEncoderTest, ConstantColumnDoesNotBlowUp) {
   }
 }
 
+TEST(FeatureEncoderTest, NonFiniteValuesEncodeAsMissing) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Dataset ds;
+  ASSERT_TRUE(
+      ds.AddColumn(Column::Numeric("x", {1.0, kInf, 2.0, -kInf, 3.0})).ok());
+  // +-1e308 are finite, but their running moments overflow.
+  ASSERT_TRUE(
+      ds.AddColumn(Column::Numeric("h", {1e308, -1e308, 1e308, -1e308, 0.0}))
+          .ok());
+  FeatureEncoder encoder;
+  ASSERT_TRUE(encoder.Fit(ds, {"x", "h"}, ds.AllRowIndices()).ok());
+  auto matrix = encoder.Transform(ds, ds.AllRowIndices());
+  ASSERT_TRUE(matrix.ok());
+  // x: mean 2 and sample std 1 over the finite values; +-inf encode as 0.
+  // h: every row encodes as 0.
+  const std::vector<std::vector<double>> want = {
+      {-1.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {1.0, 0.0}};
+  EXPECT_EQ(*matrix, want);
+  auto reloaded = FeatureEncoder::Deserialize(encoder.Serialize(), ds);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->Serialize(), encoder.Serialize());
+}
+
 TEST(FeatureEncoderTest, FitRequiresRowsAndColumns) {
   Dataset ds = MixedDataset();
   FeatureEncoder encoder;
@@ -122,21 +145,6 @@ TEST(FeatureEncoderStreamingTest, RowSourceFitMatchesLegacyFitExactly) {
     EXPECT_EQ(streamed.Serialize(), legacy.Serialize())
         << "chunk_rows " << chunk_rows;
   }
-}
-
-TEST(FeatureEncoderStreamingTest, AccumulatorMergeCombinesMoments) {
-  RunningMoments left;
-  RunningMoments right;
-  RunningMoments whole;
-  for (int i = 0; i < 50; ++i) {
-    const double v = 0.1 * i * i - 3.0 * i;
-    (i < 20 ? left : right).Add(v);
-    whole.Add(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.n, whole.n);
-  EXPECT_NEAR(left.mean, whole.mean, 1e-9);
-  EXPECT_NEAR(left.Variance(), whole.Variance(), 1e-6);
 }
 
 TEST(FeatureEncoderStreamingTest, StreamingFitErrors) {

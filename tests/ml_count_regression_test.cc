@@ -1,6 +1,7 @@
 #include "ml/count_regression.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +86,30 @@ TEST(PoissonRegressionTest, Errors) {
   ASSERT_TRUE(negative.AddColumn(data::Column::Numeric("x", {1, 2})).ok());
   ASSERT_TRUE(negative.AddColumn(data::Column::Numeric("y", {1, -3})).ok());
   EXPECT_FALSE(model.Fit(negative, "y", {"x"}, negative.AllRowIndices()).ok());
+}
+
+TEST(PoissonRegressionTest, PredictMeanManyChecksItsInput) {
+  data::Dataset ds = PoissonDataset(200, 13);
+  PoissonRegression model;
+  EXPECT_EQ(model.PredictMeanMany(ds, {0}).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(model.Fit(ds, "y", {"x1", "x2"}, ds.AllRowIndices()).ok());
+
+  const std::vector<size_t> rows = {5, 0, 199, 5};
+  auto means = model.PredictMeanMany(ds, rows);
+  ASSERT_TRUE(means.ok()) << means.status().ToString();
+  ASSERT_EQ(means->size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ((*means)[i], model.PredictMean(ds, rows[i])) << "row " << rows[i];
+  }
+
+  EXPECT_EQ(model.PredictMeanMany(ds, {0, ds.num_rows()}).status().code(),
+            util::StatusCode::kInvalidArgument);
+  data::Dataset without_x2;
+  ASSERT_TRUE(
+      without_x2.AddColumn(data::Column::Numeric("x1", {0.5, 1.5})).ok());
+  EXPECT_EQ(model.PredictMeanMany(without_x2, {0}).status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 // Zero-inflated data: a structural-zero gate driven by x1.

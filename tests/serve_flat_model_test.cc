@@ -31,24 +31,26 @@
 
 namespace roadmine::serve {
 
-// Reaches the pool of a compiled model to set thresholds that no model
+// Reaches the trees of a compiled model to set thresholds that no model
 // file or training run can carry.
 class FlatModelTestPeer {
  public:
-  // The first numeric split in pool order, or node_count() if none.
+  // The first numeric split of the first tree, or node_count() if none.
   static size_t FirstNumericSplit(const FlatModel& model) {
-    for (size_t id = 0; id < model.steps_.size(); ++id) {
-      const FlatModel::Step& step = model.steps_[id];
-      if (step.leaf == 0 && step.mask_offset == FlatModel::kInvalid) {
+    const std::vector<FlatModel::Node>& nodes = model.trees_[0];
+    for (size_t id = 0; id < nodes.size(); ++id) {
+      if (!nodes[id].is_leaf && model.features_[nodes[id].feature].type ==
+                                    data::ColumnType::kNumeric) {
         return id;
       }
     }
-    return model.steps_.size();
+    return model.node_count();
   }
 
-  // Sets split `node`'s threshold and links the pool again.
+  // Sets the first tree's split `node`'s threshold and links the trees
+  // again.
   static util::Status Relink(FlatModel& model, size_t node, double threshold) {
-    model.steps_[node].threshold = threshold;
+    model.trees_[0][node].threshold = threshold;
     return model.Link();
   }
 };

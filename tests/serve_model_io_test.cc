@@ -4,6 +4,7 @@
 #include "serve/model_store.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -176,17 +177,27 @@ data::Dataset NegativeInfinityDataset() {
   return FeaturesAndTarget(x, w, c, y);
 }
 
-// A fitted tree model survives its own file: Serialize∘Deserialize is a
-// fixpoint, the reloaded model scores every row bit for bit like the
-// fitted one (NaN scores included), and both compile to the same flat
-// bytes, which FlatModel::Deserialize accepts and writes back unchanged.
-template <typename Model>
-void ExpectFaithfulReload(const Model& model, const data::Dataset& ds,
-                          bool splits_at_negative_infinity) {
-  const std::string text = model.Serialize();
-  if (splits_at_negative_infinity) {
-    EXPECT_NE(text.find("\t-inf\t"), std::string::npos) << text;
+// 200 rows whose x alternates +1e308 and -1e308: finite values whose
+// running moments overflow. w, c and y as in NegativeInfinityDataset.
+data::Dataset HugeMagnitudeDataset() {
+  util::Rng rng(17);
+  std::vector<double> x, w, y;
+  std::vector<std::string> c;
+  for (size_t i = 0; i < 200; ++i) {
+    x.push_back(i % 2 == 0 ? 1e308 : -1e308);
+    w.push_back(rng.Uniform(0.0, 10.0));
+    c.push_back(rng.Bernoulli(0.5) ? "sealed" : "unsealed");
+    y.push_back(rng.Bernoulli(0.3) ? 1.0 : 0.0);
   }
+  return FeaturesAndTarget(x, w, c, y);
+}
+
+// A fitted model survives its own file: Serialize∘Deserialize is a
+// fixpoint, and the reloaded model scores every row bit for bit like the
+// fitted one (NaN scores included).
+template <typename Model>
+void ExpectReloadScoresBitForBit(const Model& model, const data::Dataset& ds) {
+  const std::string text = model.Serialize();
   auto loaded = Model::Deserialize(text, ds);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->Serialize(), text);
@@ -201,6 +212,21 @@ void ExpectFaithfulReload(const Model& model, const data::Dataset& ds,
               std::bit_cast<uint64_t>((*got)[r]))
         << "row " << r << ": " << (*want)[r] << " vs " << (*got)[r];
   }
+}
+
+// A fitted tree model reloads bit for bit, and it and its reloaded twin
+// compile to the same flat bytes, which FlatModel::Deserialize accepts and
+// writes back unchanged.
+template <typename Model>
+void ExpectFaithfulReload(const Model& model, const data::Dataset& ds,
+                          bool splits_at_negative_infinity) {
+  const std::string text = model.Serialize();
+  if (splits_at_negative_infinity) {
+    EXPECT_NE(text.find("\t-inf\t"), std::string::npos) << text;
+  }
+  ExpectReloadScoresBitForBit(model, ds);
+  auto loaded = Model::Deserialize(text, ds);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   auto flat = CompileModel(model);
   ASSERT_TRUE(flat.ok()) << flat.status().ToString();
@@ -267,6 +293,56 @@ TEST(ModelIoTest, TreeModelsReloadFromColumnsOfSpecialValues) {
 TEST(ModelIoTest, TreeModelsSplitAtNegativeInfinityReload) {
   ExpectEveryTreeModelReloads(NegativeInfinityDataset(),
                               /*splits_at_negative_infinity=*/true);
+}
+
+// Fits naive Bayes, logistic regression and the neural net on `ds`
+// (features x, w, c; target y): each scores every row finite and reloads
+// bit for bit.
+void ExpectEveryNonTreeModelReloads(const data::Dataset& ds) {
+  const std::vector<std::string> features = {"x", "w", "c"};
+  const std::vector<size_t> rows = ds.AllRowIndices();
+  const auto expect_finite_reload = [&](const auto& model) {
+    auto scores = model.PredictBatch(ds, rows);
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    for (size_t r = 0; r < scores->size(); ++r) {
+      EXPECT_TRUE(std::isfinite((*scores)[r])) << "row " << r;
+    }
+    ExpectReloadScoresBitForBit(model, ds);
+  };
+  {
+    SCOPED_TRACE("naive_bayes");
+    ml::NaiveBayesClassifier model;
+    ASSERT_TRUE(model.Fit(ds, "y", features, rows).ok());
+    expect_finite_reload(model);
+  }
+  {
+    SCOPED_TRACE("logistic_regression");
+    ml::LogisticRegression model(
+        ml::LogisticRegressionParams{.max_iterations = 60});
+    ASSERT_TRUE(model.Fit(ds, "y", features, rows).ok());
+    expect_finite_reload(model);
+  }
+  {
+    SCOPED_TRACE("neural_net");
+    ml::NeuralNetParams params;
+    params.hidden_layers = {6};
+    params.epochs = 8;
+    ml::NeuralNetClassifier model(params);
+    ASSERT_TRUE(model.Fit(ds, "y", features, rows).ok());
+    expect_finite_reload(model);
+  }
+}
+
+TEST(ModelIoTest, NonTreeModelsReloadFromColumnsOfSpecialValues) {
+  ExpectEveryNonTreeModelReloads(SpecialValuesDataset());
+}
+
+TEST(ModelIoTest, NonTreeModelsReloadFromNegativeInfinity) {
+  ExpectEveryNonTreeModelReloads(NegativeInfinityDataset());
+}
+
+TEST(ModelIoTest, NonTreeModelsReloadFromHugeMagnitudes) {
+  ExpectEveryNonTreeModelReloads(HugeMagnitudeDataset());
 }
 
 TEST(ModelIoTest, FileRoundTrip) {
@@ -385,11 +461,36 @@ TEST(ModelIoTest, FlatModelRejectsNodesThatDoNotFormTrees) {
   nested_root.roots = "roots 2\nroot\t0\nroot\t1\n";
   FlatText wide_root;  // Past int32: must not wrap to a negative index.
   wide_root.roots = "roots 1\nroot\t2147483648\n";
+  FlatText first_root_past_zero;  // The one tree starts at node 1.
+  first_root_past_zero.roots = "roots 1\nroot\t1\n";
+  // Tree 0 is nodes 0-2, but node 1's children are tree 1's nodes 3 and 4.
+  FlatText child_in_next_tree;
+  child_in_next_tree.roots = "roots 2\nroot\t0\nroot\t3\n";
   for (const FlatText& bad :
-       {cycle, back_edge, shared_child, shared_root, nested_root, wide_root}) {
+       {cycle, back_edge, shared_child, shared_root, nested_root, wide_root,
+        first_root_past_zero, child_in_next_tree}) {
     auto loaded = FlatModel::Deserialize(bad.Render(), ds);
     EXPECT_FALSE(loaded.ok()) << bad.roots << bad.root << "\n" << bad.split;
   }
+
+  // Two single-leaf bagged trees: tree t holds nodes [root t, root t+1),
+  // so the roots must ascend.
+  const auto two_leaves = [](const std::string& roots) {
+    return "roadmine-flat-model v1\nkind\tbagged_trees\nsmoothing\t0\n"
+           "features 0\nfeatures 0\n" +
+           roots +
+           "nodes 2\n"
+           "node\t-1\t0\t1\t-1\t-1\t0.75\t0\t0\t-1\t-\n"
+           "node\t-1\t0\t1\t-1\t-1\t0.25\t0\t0\t-1\t-\n"
+           "lm_pool 0\n";
+  };
+  auto ascending = FlatModel::Deserialize(
+      two_leaves("roots 2\nroot\t0\nroot\t1\n"), ds);
+  ASSERT_TRUE(ascending.ok()) << ascending.status().ToString();
+  EXPECT_EQ(*ascending->PredictRow(ds, 0), 0.5);
+  EXPECT_FALSE(
+      FlatModel::Deserialize(two_leaves("roots 2\nroot\t1\nroot\t0\n"), ds)
+          .ok());
 
   // The same defect in a compiled model's own text: the root's children
   // rewritten to "0 0".

@@ -8,8 +8,9 @@ pattern:
     <symbol> <address> <offset in its 4 KiB page> <size in bytes>
 
 The default patterns are the kernels that `network_rank` spends its scan
-in: serve::FlatModel::PredictBatch, serve::FlatModel::PredictRow,
-serve::ScoringService::ScorePaged and core::BuildWorksProgramPaged.
+in: serve::FlatModel::PredictBatch, its block loop
+serve::FlatModel::DescendGroup, serve::ScoringService::ScorePaged and
+core::BuildWorksProgramPaged.
 `--symbol REGEX` (repeatable) adds patterns, matched with re.search
 against the demangled name. A pattern that matches nothing prints
 `<pattern> - - -`.
@@ -34,7 +35,7 @@ PAGE_BYTES = 4096
 
 DEFAULT_PATTERNS = (
     r"serve::FlatModel::PredictBatch\(",
-    r"serve::FlatModel::PredictRow\(",
+    r"serve::FlatModel::DescendGroup\(",
     r"serve::ScoringService::ScorePaged\(",
     r"core::BuildWorksProgramPaged\(",
 )
