@@ -99,28 +99,31 @@ TEST(PoolProfilerTest, BeginDiscardsPreviousWindow) {
 TEST(PoolProfilerTest, CallerHelpTasksLandInTrailingSlot) {
   // A batch-submitting caller helps drain the queue; its tasks must be
   // attributed to the trailing slot (slot == worker count). Pin the lone
-  // worker on a blocker task so the caller is provably the only thread
+  // worker on a posted blocker so the caller is provably the only thread
   // able to run the batch.
-  ThreadPool pool(1);
   PoolProfiler profiler;
-  pool.AttachProfiler(&profiler);
-  profiler.Begin(pool.concurrency());
+  util::Status status;
+  {
+    ThreadPool pool(1);
+    pool.AttachProfiler(&profiler);
+    profiler.Begin(pool.concurrency());
 
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  pool.Submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (!started.load()) std::this_thread::yield();
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    pool.Post([&] {
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+    while (!started.load()) std::this_thread::yield();
 
-  ASSERT_TRUE(
-      ParallelFor(&pool, 4, [](size_t) { return SpinBriefly(); }).ok());
-  release.store(true);
-  pool.Wait();
+    status = ParallelFor(&pool, 4, [](size_t) { return SpinBriefly(); });
+    release.store(true);
+    // The blocker's sample is recorded after it returns; the destructor
+    // runs every posted task to completion before joining.
+  }
   const PoolProfile profile = profiler.Finish();
-  pool.AttachProfiler(nullptr);
 
+  ASSERT_TRUE(status.ok());
   ASSERT_EQ(profile.threads.size(), 2u);
   EXPECT_EQ(profile.threads[1].slot, 1u);
   EXPECT_EQ(profile.threads[1].tasks, 4u);  // The whole helped batch.

@@ -13,11 +13,11 @@
 namespace roadmine::exec {
 namespace {
 
-TEST(ThreadPoolTest, RunBatchRunsEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> counts(257);
   util::Status status =
-      pool.RunBatch(counts.size(), [&counts](size_t i) -> util::Status {
+      ParallelFor(&pool, counts.size(), [&counts](size_t i) -> util::Status {
         counts[i].fetch_add(1);
         return util::Status::Ok();
       });
@@ -36,7 +36,7 @@ TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder) {
 
 TEST(ThreadPoolTest, LowestIndexErrorReportedRegardlessOfCompletionOrder) {
   ThreadPool pool(4);
-  util::Status status = pool.RunBatch(64, [](size_t i) -> util::Status {
+  util::Status status = ParallelFor(&pool, 64, [](size_t i) -> util::Status {
     // Earlier failing index finishes last; the batch must still report it.
     if (i == 3) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -51,21 +51,23 @@ TEST(ThreadPoolTest, LowestIndexErrorReportedRegardlessOfCompletionOrder) {
 
 TEST(ThreadPoolTest, TaskExceptionSurfacesAsInternalError) {
   ThreadPool pool(2);
-  util::Status status = pool.RunBatch(8, [](size_t i) -> util::Status {
+  util::Status status = ParallelFor(&pool, 8, [](size_t i) -> util::Status {
     if (i == 1) throw std::runtime_error("boom");
     return util::Status::Ok();
   });
   ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInternal);
   EXPECT_NE(status.message().find("boom"), std::string::npos);
 }
 
 TEST(SerialExecutorTest, ExceptionAlsoCaughtInline) {
   SerialExecutor serial;
-  util::Status status = serial.RunBatch(4, [](size_t i) -> util::Status {
+  util::Status status = ParallelFor(&serial, 4, [](size_t i) -> util::Status {
     if (i == 2) throw std::runtime_error("inline boom");
     return util::Status::Ok();
   });
   ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInternal);
   EXPECT_NE(status.message().find("inline boom"), std::string::npos);
 }
 
@@ -73,8 +75,8 @@ TEST(ThreadPoolTest, NestedBatchesDoNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
   util::Status status =
-      pool.RunBatch(4, [&pool, &total](size_t) -> util::Status {
-        return pool.RunBatch(8, [&total](size_t) -> util::Status {
+      ParallelFor(&pool, 4, [&pool, &total](size_t) -> util::Status {
+        return ParallelFor(&pool, 8, [&total](size_t) -> util::Status {
           total.fetch_add(1);
           return util::Status::Ok();
         });
@@ -88,7 +90,7 @@ TEST(ThreadPoolTest, ShutdownUnderLoadFinishesSubmittedWork) {
   {
     ThreadPool pool(2);
     for (int i = 0; i < 200; ++i) {
-      pool.Submit([&done] {
+      pool.Post([&done] {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
         done.fetch_add(1);
       });
@@ -98,25 +100,14 @@ TEST(ThreadPoolTest, ShutdownUnderLoadFinishesSubmittedWork) {
   EXPECT_EQ(done.load(), 200);
 }
 
-TEST(ThreadPoolTest, WaitDrainsSubmittedWork) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 50);
-}
-
 TEST(ThreadPoolTest, ZeroThreadRequestClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.concurrency(), 1u);
   std::atomic<int> runs{0};
-  ASSERT_TRUE(pool.RunBatch(5, [&runs](size_t) -> util::Status {
-                    runs.fetch_add(1);
-                    return util::Status::Ok();
-                  })
-                  .ok());
+  ASSERT_TRUE(ParallelFor(&pool, 5, [&runs](size_t) -> util::Status {
+                runs.fetch_add(1);
+                return util::Status::Ok();
+              }).ok());
   EXPECT_EQ(runs.load(), 5);
 }
 
@@ -147,11 +138,7 @@ TEST(ChunkPlanTest, CoversRangeContiguouslyWithNearEqualSizes) {
 
 TEST(ChunkPlanTest, PlanChunksHonorsGrainAndCaps) {
   // Explicit grain: ceil(n / grain) chunks.
-  EXPECT_EQ(PlanChunks(100, {/*grain=*/7, /*max_chunks=*/0}, 4).num_chunks,
-            15u);
-  // max_chunks caps whatever grain produced.
-  EXPECT_EQ(PlanChunks(100, {/*grain=*/1, /*max_chunks=*/8}, 4).num_chunks,
-            8u);
+  EXPECT_EQ(PlanChunks(100, {.grain = 7}, 4).num_chunks, 15u);
   // Auto grain: ~kChunksPerThread chunks per participating thread.
   EXPECT_EQ(PlanChunks(10000, {}, 4).num_chunks, kChunksPerThread * 5);
   // Auto grain on a serial executor: one chunk, zero overhead.
@@ -180,7 +167,7 @@ TEST(ThreadPoolTest, RunRangesCoversEveryIndexOnceAtAnyGrain) {
           for (size_t i = begin; i < end; ++i) counts[i].fetch_add(1);
           return util::Status::Ok();
         },
-        ScheduleOptions{grain, 0});
+        ScheduleOptions{.grain = grain});
     ASSERT_TRUE(status.ok());
     for (const std::atomic<int>& c : counts) EXPECT_EQ(c.load(), 1);
   }
@@ -204,7 +191,7 @@ TEST(ThreadPoolTest, LowestIndexErrorReportedUnderChunking) {
           }
           return util::Status::Ok();
         },
-        ScheduleOptions{grain, 0});
+        ScheduleOptions{.grain = grain});
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.message(), "task 3 failed") << "grain " << grain;
   }
@@ -223,12 +210,12 @@ TEST(ThreadPoolTest, NestedRangeBatchesDoNotDeadlock) {
                 total.fetch_add(static_cast<int>(ie - ib));
                 return util::Status::Ok();
               },
-              ScheduleOptions{/*grain=*/3, 0});
+              ScheduleOptions{.grain = 3});
           if (!inner.ok()) return inner;
         }
         return util::Status::Ok();
       },
-      ScheduleOptions{/*grain=*/2, 0});
+      ScheduleOptions{.grain = 2});
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(total.load(), 8 * 16);
 }
@@ -282,7 +269,7 @@ TEST(ParallelAppendTest, FailurePropagatesLowestChunk) {
         out.push_back(static_cast<int>(i));
         return util::Status::Ok();
       },
-      ScheduleOptions{/*grain=*/5, 0});
+      ScheduleOptions{.grain = 5});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().message(), "emit 13 failed");
 }
