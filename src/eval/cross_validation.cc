@@ -15,20 +15,13 @@ using util::Result;
 
 Result<std::vector<double>> FoldScorer::Score(
     const std::vector<size_t>& rows) const {
-  if (batch_) {
-    auto out = batch_(rows);
-    if (!out.ok()) return out.status();
-    if (out->size() != rows.size()) {
-      return util::InternalError("batch scorer returned " +
-                                 std::to_string(out->size()) + " scores for " +
-                                 std::to_string(rows.size()) + " rows");
-    }
-    return out;
+  auto out = batch_(rows);
+  if (!out.ok()) return out.status();
+  if (out->size() != rows.size()) {
+    return util::InternalError("batch scorer returned " +
+                               std::to_string(out->size()) + " scores for " +
+                               std::to_string(rows.size()) + " rows");
   }
-  if (!row_) return util::InternalError("FoldScorer has no scorer");
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (size_t row : rows) out.push_back(row_(row));
   return out;
 }
 

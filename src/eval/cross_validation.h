@@ -29,34 +29,24 @@ class Executor;
 
 namespace roadmine::eval {
 
-// Produced by a trainer: P(positive) for a dataset row.
-using RowScorer = std::function<double(size_t row)>;
-
-// Scores many rows in one call; mirrors ml::Predictor::PredictBatch, the
-// unified batch entry point.
+// Scores many rows in one call: P(positive) for each dataset row, in
+// order. Mirrors ml::Predictor::PredictBatch, the unified batch entry
+// point.
 using BatchScorer = std::function<util::Result<std::vector<double>>(
     const std::vector<size_t>& rows)>;
 
-// What a trainer hands back for one fold: always a row scorer, optionally
-// a batch scorer. The harness scores whole held-out folds through the
-// batch path when it is available.
+// What a trainer hands back for one fold: a batch scorer, which the
+// harness calls once per held-out fold.
 class FoldScorer {
  public:
-  FoldScorer() = default;
-  // Implicit so trainers can keep returning a bare RowScorer lambda.
-  FoldScorer(RowScorer row) : row_(std::move(row)) {}  // NOLINT
-  FoldScorer(RowScorer row, BatchScorer batch)
-      : row_(std::move(row)), batch_(std::move(batch)) {}
+  explicit FoldScorer(BatchScorer batch) : batch_(std::move(batch)) {}
 
-  // Scores `rows` in order, preferring the batch path.
+  // Scores `rows` in order. A scorer that returns a different number of
+  // scores is an InternalError.
   util::Result<std::vector<double>> Score(
       const std::vector<size_t>& rows) const;
 
-  const RowScorer& row_scorer() const { return row_; }
-  bool has_batch() const { return static_cast<bool>(batch_); }
-
  private:
-  RowScorer row_;
   BatchScorer batch_;
 };
 

@@ -83,12 +83,9 @@ BinaryTrainer ClassifierTrainer(ml::ClassifierSpec spec, std::string target,
     // `index` rides in the captures to keep the shared index alive at
     // least as long as the model that was configured with it.
     return FoldScorer(
-        RowScorer([model, index, &dataset](size_t row) {
-          return model->PredictProba(dataset, row);
-        }),
-        BatchScorer([model, index, &dataset](const std::vector<size_t>& rows) {
+        [model, index, &dataset](const std::vector<size_t>& rows) {
           return model->PredictProbaBatch(dataset, rows);
-        }));
+        });
   };
 }
 

@@ -1,11 +1,9 @@
 #include "exec/executor.h"
 
-#include <chrono>
 #include <exception>
 #include <limits>
 
 #include "exec/profiler.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace roadmine::exec {
@@ -16,16 +14,13 @@ namespace {
 // not spawn (a batch-submitting caller helping drain work).
 thread_local int tls_worker_slot = -1;
 
+// Queue items still waiting when this thread last popped one: the
+// backlog of the posted task that item runs.
+thread_local size_t tls_queued_behind = 0;
+
 // ScopedGrainForTesting override; 0 = inactive. Installed from a test
 // driver thread before work is spawned (see header).
 size_t g_test_grain = 0;
-
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 util::Status RunIndexGuarded(const IndexedTask& task, size_t index) {
   try {
@@ -81,7 +76,6 @@ ChunkPlan PlanChunks(size_t n, const ScheduleOptions& options,
   } else {
     chunks = std::min(n, kChunksPerThread * (workers + 1));
   }
-  if (options.max_chunks > 0) chunks = std::min(chunks, options.max_chunks);
   return ChunkPlan::Make(n, chunks);
 }
 
@@ -91,15 +85,6 @@ ScopedGrainForTesting::ScopedGrainForTesting(size_t grain)
 }
 
 ScopedGrainForTesting::~ScopedGrainForTesting() { g_test_grain = previous_; }
-
-util::Status Executor::RunBatch(size_t n, const IndexedTask& task) {
-  return RunRanges(n, PerIndexRange(task), kPerIndex);
-}
-
-util::Status Executor::RunBatch(size_t n, const IndexedTask& task,
-                                const ScheduleOptions& options) {
-  return RunRanges(n, PerIndexRange(task), options);
-}
 
 util::Status SerialExecutor::RunRanges(size_t n, const RangeTask& task,
                                        const ScheduleOptions& options) {
@@ -112,31 +97,12 @@ util::Status SerialExecutor::RunRanges(size_t n, const RangeTask& task,
   return util::Status::Ok();
 }
 
-// Cached registry handles; see header. Looked up once per pool.
-struct ThreadPool::MetricHandles {
-  MetricHandles()
-      : submitted(obs::MetricsRegistry::Global().GetCounter(
-            "exec.tasks_submitted")),
-        completed(obs::MetricsRegistry::Global().GetCounter(
-            "exec.tasks_completed")),
-        run_ms(obs::MetricsRegistry::Global().GetHistogram(
-            "exec.task_run_ms")),
-        wait_ms(obs::MetricsRegistry::Global().GetHistogram(
-            "exec.task_wait_ms")) {}
-
-  obs::Counter& submitted;
-  obs::Counter& completed;
-  obs::LatencyHistogram& run_ms;
-  obs::LatencyHistogram& wait_ms;
-};
-
 // Shared state for one RunRanges call. Chunks are claimed from
 // `next_chunk` in ascending order; completion records the failure with
 // the lowest begin so the reported error matches a serial run.
 struct ThreadPool::RangeBatch {
   const RangeTask* task = nullptr;
   ChunkPlan plan;
-  uint64_t enqueued_us = 0;
 
   std::atomic<size_t> next_chunk{0};
   // Set on first failure; chunks claimed afterwards are skipped. Safe
@@ -161,15 +127,12 @@ struct ThreadPool::RangeBatch {
   }
 };
 
-ThreadPool::ThreadPool(size_t num_threads)
-    : metrics_(std::make_unique<MetricHandles>()) {
+ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  obs::MetricsRegistry::Global().GetGauge("exec.pool.threads").Set(
-      static_cast<double>(num_threads));
 }
 
 ThreadPool::~ThreadPool() {
@@ -181,63 +144,45 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::SubmitInternal(std::function<void()> fn, bool record) {
+template <typename Body>
+void ThreadPool::RunTask(size_t backlog, Body&& body) {
+  PoolProfiler* profiler = profiler_.load(std::memory_order_acquire);
+  if (profiler == nullptr || !profiler->active()) {
+    body();
+    return;
+  }
+  const obs::TraceCollector& clock = obs::TraceCollector::Global();
+  const uint64_t start_us = clock.NowMicros();
+  body();
+  const uint32_t slot = tls_worker_slot >= 0
+                            ? static_cast<uint32_t>(tls_worker_slot)
+                            : static_cast<uint32_t>(workers_.size());
+  profiler->RecordTask({slot, start_us, clock.NowMicros() - start_us,
+                        static_cast<uint32_t>(backlog)});
+}
+
+void ThreadPool::Enqueue(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(QueueItem{std::move(fn), NowMicros(), record});
+    queue_.push_back(std::move(fn));
   }
-  if (record) metrics_->submitted.Increment();
   work_cv_.notify_one();
 }
 
-void ThreadPool::Submit(std::function<void()> fn) {
-  SubmitInternal(std::move(fn), /*record=*/true);
+void ThreadPool::Post(std::function<void()> fn) {
+  Enqueue([this, fn = std::move(fn)] { RunTask(tls_queued_behind, fn); });
 }
 
 bool ThreadPool::RunOneQueued() {
-  QueueItem item;
-  size_t queue_depth = 0;
+  std::function<void()> fn;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.empty()) return false;
-    item = std::move(queue_.front());
+    fn = std::move(queue_.front());
     queue_.pop_front();
-    queue_depth = queue_.size();  // Items still waiting behind this one.
-    ++in_flight_;
+    tls_queued_behind = queue_.size();
   }
-  if (!item.record) {
-    // Batch-helper plumbing: the chunks it claims account for
-    // themselves inside DrainChunks.
-    item.fn();
-  } else {
-    PoolProfiler* profiler = profiler_.load(std::memory_order_acquire);
-    const bool profiling = profiler != nullptr && profiler->active();
-    const uint64_t profile_start_us =
-        profiling ? obs::TraceCollector::Global().NowMicros() : 0;
-    const uint64_t start_us = NowMicros();
-    if (item.enqueued_us != 0) {
-      metrics_->wait_ms.Observe(
-          static_cast<double>(start_us - item.enqueued_us) / 1000.0);
-    }
-    item.fn();
-    const uint64_t run_us = NowMicros() - start_us;
-    metrics_->run_ms.Observe(static_cast<double>(run_us) / 1000.0);
-    metrics_->completed.Increment();
-    if (profiling) {
-      const uint32_t slot = tls_worker_slot >= 0
-                                ? static_cast<uint32_t>(tls_worker_slot)
-                                : static_cast<uint32_t>(workers_.size());
-      profiler->RecordTask({slot, profile_start_us, run_us,
-                            static_cast<uint32_t>(queue_depth)});
-    }
-  }
-  bool drained = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --in_flight_;
-    drained = queue_.empty() && in_flight_ == 0;
-  }
-  if (drained) idle_cv_.notify_all();
+  fn();
   return true;
 }
 
@@ -253,46 +198,23 @@ void ThreadPool::WorkerLoop(size_t slot) {
   }
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::DrainChunks(const std::shared_ptr<RangeBatch>& batch) {
+  const size_t num_chunks = batch->plan.num_chunks;
   while (true) {
     const size_t chunk =
         batch->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (chunk >= batch->plan.num_chunks) return;
+    if (chunk >= num_chunks) return;
     const size_t begin = batch->plan.ChunkBegin(chunk);
-    const size_t end = batch->plan.ChunkEnd(chunk);
     util::Status status;  // OK for skipped chunks past a failure.
     if (!batch->failed.load(std::memory_order_acquire)) {
-      PoolProfiler* profiler = profiler_.load(std::memory_order_acquire);
-      const bool profiling = profiler != nullptr && profiler->active();
-      const uint64_t profile_start_us =
-          profiling ? obs::TraceCollector::Global().NowMicros() : 0;
-      const uint64_t start_us = NowMicros();
-      metrics_->wait_ms.Observe(
-          static_cast<double>(start_us - batch->enqueued_us) / 1000.0);
-      status = RunRangeGuarded(*batch->task, begin, end);
-      const uint64_t run_us = NowMicros() - start_us;
-      metrics_->run_ms.Observe(static_cast<double>(run_us) / 1000.0);
-      if (profiling) {
-        const uint32_t slot = tls_worker_slot >= 0
-                                  ? static_cast<uint32_t>(tls_worker_slot)
-                                  : static_cast<uint32_t>(workers_.size());
-        // Backlog of still-unclaimed chunks stands in for queue depth.
-        const size_t claimed = batch->next_chunk.load(
-            std::memory_order_relaxed);
-        const size_t backlog =
-            claimed < batch->plan.num_chunks ? batch->plan.num_chunks - claimed
-                                             : 0;
-        profiler->RecordTask({slot, profile_start_us, run_us,
-                              static_cast<uint32_t>(backlog)});
-      }
+      // Tickets issue ascending, so the chunks after this one are the
+      // batch's unclaimed backlog.
+      RunTask(num_chunks - chunk - 1, [&] {
+        status = RunRangeGuarded(*batch->task, begin,
+                                 batch->plan.ChunkEnd(chunk));
+      });
       if (!status.ok()) batch->failed.store(true, std::memory_order_release);
     }
-    metrics_->completed.Increment();
     batch->Complete(begin, std::move(status));
   }
 }
@@ -300,22 +222,19 @@ void ThreadPool::DrainChunks(const std::shared_ptr<RangeBatch>& batch) {
 util::Status ThreadPool::RunRanges(size_t n, const RangeTask& task,
                                    const ScheduleOptions& options) {
   if (n == 0) return util::Status::Ok();
-  const ChunkPlan plan = PlanChunks(n, options, workers_.size());
-
   auto batch = std::make_shared<RangeBatch>();
   batch->task = &task;
-  batch->plan = plan;
-  batch->enqueued_us = NowMicros();
-  batch->chunks_remaining = plan.num_chunks;
-  metrics_->submitted.Increment(plan.num_chunks);
+  batch->plan = PlanChunks(n, options, workers_.size());
+  batch->chunks_remaining = batch->plan.num_chunks;
 
   // One wake-up per worker, capped at the chunk count — batch cost does
   // not scale with n. A single-chunk batch runs entirely on the caller.
-  if (plan.num_chunks > 1) {
-    const size_t helpers = std::min(workers_.size(), plan.num_chunks - 1);
+  // Helpers are not tasks of their own: each chunk they claim is.
+  if (batch->plan.num_chunks > 1) {
+    const size_t helpers =
+        std::min(workers_.size(), batch->plan.num_chunks - 1);
     for (size_t h = 0; h < helpers; ++h) {
-      SubmitInternal([this, batch] { DrainChunks(batch); },
-                     /*record=*/false);
+      Enqueue([this, batch] { DrainChunks(batch); });
     }
   }
 
@@ -343,18 +262,9 @@ util::Status ThreadPool::RunRanges(size_t n, const RangeTask& task,
   return batch->first_error;  // OK when no chunk failed.
 }
 
-util::Status ParallelFor(Executor* executor, size_t n,
-                         const IndexedTask& task) {
-  return ParallelFor(executor, n, task, kPerIndex);
-}
-
 util::Status ParallelFor(Executor* executor, size_t n, const IndexedTask& task,
                          const ScheduleOptions& options) {
-  if (executor == nullptr) {
-    SerialExecutor serial;
-    return serial.RunBatch(n, task, options);
-  }
-  return executor->RunBatch(n, task, options);
+  return ParallelForRanges(executor, n, PerIndexRange(task), options);
 }
 
 util::Status ParallelForRanges(Executor* executor, size_t n,

@@ -13,12 +13,12 @@
 // (ParallelAppend does this for the common "each index emits records"
 // shape).
 //
-// Scheduling model (the PR-7 redesign): a batch over [0, n) is split
-// into at most `num_chunks` contiguous ranges up front (ChunkPlan), and
-// workers *claim* chunks from an atomic ticket counter instead of
-// popping per-index closures from the shared queue. One queue item per
-// worker wakes the pool for a batch regardless of n, so a
-// million-element map costs a handful of allocations, not a million.
+// Scheduling model: a batch over [0, n) is split into `num_chunks`
+// contiguous ranges up front (ChunkPlan), and workers *claim* chunks
+// from an atomic ticket counter instead of popping per-index closures
+// from the shared queue. One queue item per worker wakes the pool for a
+// batch regardless of n, so a million-element map costs a handful of
+// allocations, not a million.
 // Chunk claims are issued in ascending order, which keeps the
 // lowest-index error rule cheap: after any chunk fails, still-unclaimed
 // chunks (all at strictly higher indices) are skipped, exactly like a
@@ -39,7 +39,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -77,19 +76,16 @@ using RangeTask = std::function<util::Status(size_t begin, size_t end)>;
 //   per-element work. Use grain=1 when each index is already a coarse
 //   task (a CV fold, an ensemble member) that should schedule
 //   individually.
-// max_chunks: hard cap on the number of chunks (0 = no cap). Useful to
-//   bound per-chunk buffer counts for ParallelAppend-style staging.
 //
-// Chunk boundaries NEVER affect results for conforming tasks; options
-// only tune scheduling overhead vs. load balance.
+// Chunk boundaries NEVER affect results for conforming tasks; the grain
+// only tunes scheduling overhead vs. load balance.
 struct ScheduleOptions {
   size_t grain = 0;
-  size_t max_chunks = 0;
 };
 
-// Per-index scheduling: one chunk per index, the old per-task
-// granularity. The default for coarse tasks.
-inline constexpr ScheduleOptions kPerIndex{/*grain=*/1, /*max_chunks=*/0};
+// Per-index scheduling: one chunk per index. The default for coarse
+// tasks.
+inline constexpr ScheduleOptions kPerIndex{.grain = 1};
 
 // A deterministic partition of [0, n) into `num_chunks` contiguous
 // ranges of near-equal size (sizes differ by at most one; the first
@@ -164,22 +160,12 @@ class Executor {
   [[nodiscard]] virtual util::Status RunRanges(size_t n, const RangeTask& task,
                                  const ScheduleOptions& options) = 0;
 
-  // Per-index convenience: runs task(i) for every i in [0, n) at
-  // per-index granularity (kPerIndex), reporting the lowest-index
-  // error. Indices inside a chunk run ascending, stopping at the first
-  // error, so the reported status is exactly the serial one.
-  [[nodiscard]] util::Status RunBatch(size_t n, const IndexedTask& task);
-
   // Fire-and-forget: runs fn asynchronously when the executor has
   // worker threads, inline (before returning) otherwise. For latency
   // overlap only — I/O prefetch, background flushes — never for work
   // whose ordering affects results: the caller must rendezvous with fn
   // itself (exec::TaskLatch) before touching anything fn produces.
   virtual void Post(std::function<void()> fn) { fn(); }
-
-  // Same, with explicit chunking (for fine-grained per-index work).
-  [[nodiscard]] util::Status RunBatch(size_t n, const IndexedTask& task,
-                        const ScheduleOptions& options);
 };
 
 // Runs every chunk inline on the calling thread, in ascending order,
@@ -196,23 +182,16 @@ class SerialExecutor : public Executor {
 
 // Fixed-size worker pool with ticket-counter chunk scheduling.
 //
-// A RunRanges batch enqueues at most one helper item per worker; every
-// participating thread (workers + the submitting caller) then claims
-// chunks from the batch's atomic ticket counter until none remain. No
-// per-index queue traffic, no per-index std::function allocation.
+// The queue holds plain functions: posted tasks, and at most one helper
+// per worker for each RunRanges batch. Every participating thread
+// (workers + the submitting caller) claims chunks from the batch's
+// atomic ticket counter until none remain. No per-index queue traffic,
+// no per-index std::function allocation.
 //
-// Observability (obs::metrics registry; handles cached at construction
-// so the hot path never takes the registry lock):
-//   exec.pool.threads        gauge    worker-thread count
-//   exec.tasks_submitted     counter  chunks scheduled (+ Submit items)
-//   exec.tasks_completed     counter  chunks finished (ok, failed, or
-//                                     skipped past a failure)
-//   exec.task_run_ms         histogram per-chunk execution latency
-//   exec.task_wait_ms        histogram batch-submit-to-chunk-start delay
-// For per-batch evidence (per-thread busy fractions, claim backlog,
-// imbalance) attach an exec::PoolProfiler (exec/profiler.h) and open a
-// capture window around the stage of interest; it records one sample
-// per chunk.
+// Posted tasks and batch chunks run through one task path. Its only
+// instrumentation is an attached exec::PoolProfiler (exec/profiler.h):
+// while a capture window is open it records one sample per task (slot,
+// start, duration, backlog); otherwise the path reads no clock.
 class ThreadPool : public Executor {
  public:
   // Spawns `num_threads` workers (clamped to >= 1). The calling thread
@@ -228,17 +207,12 @@ class ThreadPool : public Executor {
   [[nodiscard]] util::Status RunRanges(size_t n, const RangeTask& task,
                          const ScheduleOptions& options) override;
 
-  // Fire-and-forget work item (not part of any batch). Wait() drains it.
-  void Submit(std::function<void()> fn);
-
-  // Executor::Post on a pool runs fn on a worker thread.
-  void Post(std::function<void()> fn) override { Submit(std::move(fn)); }
-
-  // Blocks until the queue is empty and every in-flight item finished.
-  void Wait();
+  // Runs fn on a worker thread. The destructor runs every posted fn
+  // before it joins the workers.
+  void Post(std::function<void()> fn) override;
 
   // Attaches (or, with nullptr, detaches) a profiler sampling every
-  // chunk this pool executes while the profiler has a window open. The
+  // task this pool executes while the profiler has a window open. The
   // profiler is not owned and must outlive the attachment.
   void AttachProfiler(PoolProfiler* profiler) {
     profiler_.store(profiler, std::memory_order_release);
@@ -247,48 +221,38 @@ class ThreadPool : public Executor {
  private:
   struct RangeBatch;
 
-  struct QueueItem {
-    std::function<void()> fn;
-    // Submit timestamp for the wait-latency histogram, in steady-clock
-    // microseconds; 0 disables the observation (metrics disabled).
-    uint64_t enqueued_us = 0;
-    // Batch-helper items are scheduling plumbing: the chunks they claim
-    // are recorded individually, the wrapper itself is not.
-    bool record = true;
-  };
-
   void WorkerLoop(size_t slot);
+  void Enqueue(std::function<void()> fn);
   // Pops and runs one queue item; returns false when the queue was
   // empty.
   bool RunOneQueued();
-  void SubmitInternal(std::function<void()> fn, bool record);
   // Claims and runs chunks of `batch` until the ticket counter is
   // exhausted. Called by helper items and by the submitting caller.
   void DrainChunks(const std::shared_ptr<RangeBatch>& batch);
+  // The one task path: runs a posted function or a batch chunk, and
+  // samples it when the attached profiler has a window open. `backlog`
+  // is the number of tasks still waiting behind this one.
+  template <typename Body>
+  void RunTask(size_t backlog, Body&& body);
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   // Signals workers: work or shutdown.
-  std::condition_variable idle_cv_;   // Signals Wait(): pool drained.
-  std::deque<QueueItem> queue_;
-  size_t in_flight_ = 0;
+  std::condition_variable work_cv_;  // Signals workers: work or shutdown.
+  std::deque<std::function<void()>> queue_;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
   std::atomic<PoolProfiler*> profiler_{nullptr};
-  // Cached metric handles: the registry lookup (string map behind a
-  // mutex) happens once here, never per chunk. Handles stay valid
-  // across MetricsRegistry::Reset (obs/metrics.h contract).
-  struct MetricHandles;
-  const std::unique_ptr<MetricHandles> metrics_;
 };
 
-// Serial when `executor` is null, delegated otherwise. The "optional
-// executor pointer" convention every hot path in this codebase uses.
-// The no-options overload schedules per index (kPerIndex) — the right
+// Runs task(i) for every i in [0, n): serial when `executor` is null,
+// delegated otherwise — the "optional executor pointer" convention every
+// hot path in this codebase uses. Indices inside a chunk run ascending,
+// stopping at the first error, so the reported status is exactly the
+// serial one. The default schedules per index (kPerIndex), the right
 // call for coarse tasks; pass options (grain 0 = auto) to chunk
 // fine-grained work.
-[[nodiscard]] util::Status ParallelFor(Executor* executor, size_t n, const IndexedTask& task);
-[[nodiscard]] util::Status ParallelFor(Executor* executor, size_t n, const IndexedTask& task,
-                         const ScheduleOptions& options);
+[[nodiscard]] util::Status ParallelFor(
+    Executor* executor, size_t n, const IndexedTask& task,
+    const ScheduleOptions& options = kPerIndex);
 
 // Range flavor: the task sees whole chunks — use when per-chunk setup
 // (a buffer, a sub-batch call) matters. Replaces the old

@@ -5,22 +5,9 @@
 
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "stats/descriptive.h"
 
 namespace roadmine::exec {
-
-namespace {
-
-double Percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  const auto rank = static_cast<size_t>(
-      q * static_cast<double>(values.size() - 1) + 0.5);
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<ptrdiff_t>(rank),
-                   values.end());
-  return values[rank];
-}
-
-}  // namespace
 
 void PoolProfiler::Begin(size_t worker_slots) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -96,8 +83,8 @@ PoolProfile PoolProfiler::Finish(const std::string& counter_prefix) {
     double sum = 0.0;
     for (const double ms : task_ms) sum += ms;
     profile.task_ms_mean = sum / static_cast<double>(task_ms.size());
-    profile.task_ms_p50 = Percentile(task_ms, 0.50);
-    profile.task_ms_p99 = Percentile(task_ms, 0.99);
+    profile.task_ms_p50 = stats::NearestRankQuantile(task_ms, 0.50);
+    profile.task_ms_p99 = stats::NearestRankQuantile(task_ms, 0.99);
     profile.task_ms_max = *std::max_element(task_ms.begin(), task_ms.end());
     profile.imbalance = profile.task_ms_mean > 0.0
                             ? profile.task_ms_max / profile.task_ms_mean

@@ -1,7 +1,7 @@
 // Opt-in profiler for exec::ThreadPool: answers *why* a parallel stage
 // ran at the speedup it did. While a capture window is open the pool
 // feeds it one sample per executed task — which thread ran it, when, for
-// how long, and how deep the queue was at pop — and Finish() rolls the
+// how long, and how many tasks waited behind it — and Finish() rolls the
 // samples into a PoolProfile: per-thread busy/idle fractions, queue-depth
 // stats, task-time quantiles, and the imbalance ratio (max/mean task
 // time). The profile exports as JSON (the "profile" section of bench
@@ -29,8 +29,9 @@ struct TaskSample {
                              // batch-submitting caller thread.
   uint64_t start_us = 0;     // Since the window opened.
   uint64_t duration_us = 0;
-  uint32_t queue_depth = 0;  // Queue length right after this task was
-                             // popped (tasks still waiting behind it).
+  uint32_t queue_depth = 0;  // Tasks still waiting behind this one when
+                             // it started: queued items behind a posted
+                             // task, unclaimed chunks behind a chunk.
 };
 
 struct ThreadProfile {

@@ -106,12 +106,17 @@ double NaiveBayesClassifier::PredictProba(const data::Dataset& dataset,
     if (ref.type == data::ColumnType::kNumeric) {
       const double v = col.NumericAt(row);
       if (!std::isfinite(v)) continue;  // +-inf: no evidence either.
+      double feature_ll[2] = {0.0, 0.0};
       for (int y = 0; y < 2; ++y) {
         const GaussianStats& g = model.gaussian[y];
         if (g.count < 2) continue;  // No usable class-conditional estimate.
-        log_like[y] +=
-            stats::NormalLogPdf(v, g.mean, std::sqrt(g.variance));
+        feature_ll[y] = stats::NormalLogPdf(v, g.mean, std::sqrt(g.variance));
       }
+      // A value so far out that z^2 overflows under both Gaussians rules
+      // out neither class over the other: no evidence.
+      if (std::isinf(feature_ll[0]) && std::isinf(feature_ll[1])) continue;
+      log_like[0] += feature_ll[0];
+      log_like[1] += feature_ll[1];
     } else {
       const size_t code = static_cast<size_t>(col.CodeAt(row));
       for (int y = 0; y < 2; ++y) {
@@ -121,11 +126,15 @@ double NaiveBayesClassifier::PredictProba(const data::Dataset& dataset,
       }
     }
   }
-  // Normalize via log-sum-exp.
-  const double max_ll = std::max(log_like[0], log_like[1]);
-  const double z =
-      std::exp(log_like[0] - max_ll) + std::exp(log_like[1] - max_ll);
-  return std::exp(log_like[1] - max_ll) / z;
+  // Normalize via log-sum-exp. Two features can each rule out a
+  // different class; with both sums at -inf the row carries no usable
+  // evidence and the prior stands.
+  const double* ll = std::isinf(std::max(log_like[0], log_like[1]))
+                         ? log_prior_
+                         : log_like;
+  const double max_ll = std::max(ll[0], ll[1]);
+  const double z = std::exp(ll[0] - max_ll) + std::exp(ll[1] - max_ll);
+  return std::exp(ll[1] - max_ll) / z;
 }
 
 int NaiveBayesClassifier::Predict(const data::Dataset& dataset, size_t row,

@@ -1,7 +1,8 @@
 // Process-wide metrics registry: named counters, gauges, and log-bucketed
 // latency histograms with tail quantiles. Instrumented code fetches a
-// handle once per operation and updates it; exporters (bench reports,
-// run manifests) snapshot the whole registry as JSON.
+// handle once per operation and updates it; TakeSnapshot() and ToJson()
+// read the whole registry. No exporter calls them yet: bench reports and
+// run manifests carry their own fields.
 //
 // Concurrency: handle lookup takes the registry mutex; Counter/Gauge
 // updates are lock-free atomics; histogram observation takes a

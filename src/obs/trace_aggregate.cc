@@ -5,22 +5,11 @@
 #include <map>
 
 #include "obs/json.h"
+#include "stats/descriptive.h"
 
 namespace roadmine::obs {
 
 namespace {
-
-// Duration percentile by nearest rank over a (not necessarily sorted)
-// copy of the per-stage durations.
-double Percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  const auto rank = static_cast<size_t>(
-      q * static_cast<double>(values.size() - 1) + 0.5);
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<ptrdiff_t>(rank),
-                   values.end());
-  return values[rank];
-}
 
 struct SpanInterval {
   const SpanRecord* span;
@@ -92,8 +81,8 @@ TraceAggregate AggregateSpans(const std::vector<SpanRecord>& spans) {
     stats.count = acc.count;
     stats.total_ms = acc.total_ms;
     stats.self_ms = acc.self_ms;
-    stats.p50_ms = Percentile(acc.durations_ms, 0.50);
-    stats.p99_ms = Percentile(acc.durations_ms, 0.99);
+    stats.p50_ms = stats::NearestRankQuantile(acc.durations_ms, 0.50);
+    stats.p99_ms = stats::NearestRankQuantile(acc.durations_ms, 0.99);
     stats.max_ms =
         *std::max_element(acc.durations_ms.begin(), acc.durations_ms.end());
     out.stages.push_back(std::move(stats));

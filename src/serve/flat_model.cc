@@ -652,6 +652,12 @@ Result<FlatModel> FlatModel::Deserialize(const std::string& text,
   auto root_count = ml::ParseCountLine(cursor, "roots");
   if (!root_count.ok()) return root_count.status();
   if (*root_count == 0) return InvalidArgumentError("model has no trees");
+  // The single-tree kinds score, and M5 smooths over, tree 0 alone.
+  if (flat.kind_ != Kind::kBaggedTrees && flat.kind_ != Kind::kGbt &&
+      *root_count != 1) {
+    return InvalidArgumentError("a single-tree model lists " +
+                                std::to_string(*root_count) + " roots");
+  }
   std::vector<int64_t> roots;
   for (int64_t t = 0; t < *root_count; ++t) {
     const std::string* line = cursor.Next();

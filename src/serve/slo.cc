@@ -1,8 +1,7 @@
 #include "serve/slo.h"
 
-#include <algorithm>
-
 #include "obs/json.h"
+#include "stats/descriptive.h"
 
 namespace roadmine::serve {
 
@@ -12,18 +11,12 @@ SloTracker::SloTracker(SloConfig config) : config_(config) {
 }
 
 double SloTracker::QuantileLocked(double q) const {
-  if (ring_.empty()) return 0.0;
   std::vector<double> latencies;
   latencies.reserve(ring_.size());
   for (const Request& request : ring_) {
     latencies.push_back(request.latency_ms);
   }
-  const auto rank = static_cast<size_t>(
-      q * static_cast<double>(latencies.size() - 1) + 0.5);
-  std::nth_element(latencies.begin(),
-                   latencies.begin() + static_cast<ptrdiff_t>(rank),
-                   latencies.end());
-  return latencies[rank];
+  return stats::NearestRankQuantile(std::move(latencies), q);
 }
 
 double SloTracker::RowsPerSecLocked() const {

@@ -74,6 +74,16 @@ double QuantileSorted(const std::vector<double>& sorted_values, double p) {
   return SortedQuantile(sorted_values, p);
 }
 
+double NearestRankQuantile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  const auto rank =
+      static_cast<size_t>(p * static_cast<double>(values.size() - 1) + 0.5);
+  std::nth_element(values.begin(),
+                   values.begin() + static_cast<ptrdiff_t>(rank),
+                   values.end());
+  return values[rank];
+}
+
 std::vector<double> Quantiles(std::vector<double> values,
                               const std::vector<double>& ps) {
   std::vector<double> clean = DropMissing(values);

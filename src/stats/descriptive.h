@@ -41,6 +41,12 @@ double Quantile(std::vector<double> values, double p);
 // sort — the form for loops that take k edges from one column.
 double QuantileSorted(const std::vector<double>& sorted_values, double p);
 
+// Nearest-rank quantile: the element of 0-based rank
+// floor(p * (n - 1) + 0.5) in ascending order, found by nth_element on
+// the copy, so the result is always an observed value; 0 when empty.
+// `values` must be NaN-free. The form latency summaries report.
+double NearestRankQuantile(std::vector<double> values, double p);
+
 // All requested quantiles with a single copy + sort of `values` (NaNs
 // skipped as usual). Element i corresponds to ps[i].
 std::vector<double> Quantiles(std::vector<double> values,

@@ -27,8 +27,9 @@ BinaryTrainer NaiveBayesTrainer() {
              -> util::Result<FoldScorer> {
     auto model = std::make_shared<ml::NaiveBayesClassifier>();
     ROADMINE_RETURN_IF_ERROR(model->Fit(ds, "y", {"x"}, train));
-    return FoldScorer(RowScorer(
-        [model, &ds](size_t row) { return model->PredictProba(ds, row); }));
+    return FoldScorer([model, &ds](const std::vector<size_t>& rows) {
+      return model->PredictBatch(ds, rows);
+    });
   };
 }
 

@@ -87,6 +87,69 @@ TEST(NaiveBayesTest, MissingFeatureFallsBackToPrior) {
   EXPECT_NEAR(nb.PredictProba(probe, 0), 0.5, 0.1);
 }
 
+// A finite value whose squared z-score overflows under both classes
+// (|x| near DBL_MAX, or 1e200 against sigma 0.5) makes both Gaussian
+// log-densities -inf. Like a missing value it carries no evidence, so
+// the row scores the prior rather than exp(-inf - -inf) = NaN.
+TEST(NaiveBayesTest, OverflowingFiniteValuesScoreThePrior) {
+  util::Rng rng(13);
+  std::vector<double> x, y;
+  for (int i = 0; i < 200; ++i) {
+    const bool positive = rng.Bernoulli(0.5);
+    x.push_back(rng.Normal(positive ? 2.0 : 0.0, 0.5));
+    y.push_back(positive ? 1.0 : 0.0);
+  }
+  data::Dataset ds;
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
+  NaiveBayesClassifier nb;
+  ASSERT_TRUE(nb.Fit(ds, "y", {"x"}, ds.AllRowIndices()).ok());
+
+  data::Dataset probe;
+  ASSERT_TRUE(
+      probe.AddColumn(data::Column::Numeric("x", {kNaN, 1e308, -1e308, 1e200}))
+          .ok());
+  ASSERT_TRUE(probe.AddColumn(data::Column::Numeric("y", {0, 0, 0, 0})).ok());
+  const double prior = nb.PredictProba(probe, 0);
+  ASSERT_GT(prior, 0.0);
+  ASSERT_LT(prior, 1.0);
+  for (size_t r = 1; r < probe.num_rows(); ++r) {
+    EXPECT_EQ(nb.PredictProba(probe, r), prior) << "row " << r;
+  }
+}
+
+// Two features can each rule out a different class: feature a's value is
+// impossible under class 0's narrow Gaussian but not under class 1's wide
+// one, and feature b the other way round. Both sums are then -inf, and
+// the row scores the prior instead of NaN.
+TEST(NaiveBayesTest, FeaturesRulingOutBothClassesScoreThePrior) {
+  util::Rng rng(17);
+  std::vector<double> a, b, y;
+  for (int i = 0; i < 200; ++i) {
+    const bool positive = rng.Bernoulli(0.5);
+    a.push_back(rng.Normal(0.0, positive ? 1e100 : 0.5));
+    b.push_back(rng.Normal(0.0, positive ? 0.5 : 1e100));
+    y.push_back(positive ? 1.0 : 0.0);
+  }
+  data::Dataset ds;
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("a", a)).ok());
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("b", b)).ok());
+  ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
+  NaiveBayesClassifier nb;
+  ASSERT_TRUE(nb.Fit(ds, "y", {"a", "b"}, ds.AllRowIndices()).ok());
+
+  data::Dataset probe;
+  ASSERT_TRUE(probe.AddColumn(data::Column::Numeric("a", {kNaN, 1e160})).ok());
+  ASSERT_TRUE(probe.AddColumn(data::Column::Numeric("b", {kNaN, 1e160})).ok());
+  ASSERT_TRUE(probe.AddColumn(data::Column::Numeric("y", {0, 0})).ok());
+  const double p = nb.PredictProba(probe, 1);
+  EXPECT_TRUE(std::isfinite(p));
+  EXPECT_EQ(p, nb.PredictProba(probe, 0));  // The prior.
+  auto batch = nb.PredictBatch(probe, {1});
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ((*batch)[0], p);
+}
+
 TEST(NaiveBayesTest, LaplaceSmoothingHandlesUnseenCategory) {
   // Category "rare" never co-occurs with class 1 in training.
   data::Dataset ds;

@@ -424,14 +424,15 @@ data::Dataset XSurfaceDataset() {
 }
 
 struct FlatText {
+  std::string kind = "decision_tree";
   std::string roots = "roots 1\nroot\t0\n";
   std::string root = "node\t0\t5\t1\t1\t2\t0\t0\t0\t-1\t-";
   std::string split = "node\t1\t0\t0\t3\t4\t0\t0\t0\t-1\t01";
 
   std::string Render() const {
-    return std::string("roadmine-flat-model v1\nkind\tdecision_tree\n"
-                       "smoothing\t0\nfeatures 2\nfeature\tx\tnumeric\n"
-                       "feature\tsurface\tcategorical\nfeatures 0\n") +
+    return "roadmine-flat-model v1\nkind\t" + kind +
+           "\nsmoothing\t0\nfeatures 2\nfeature\tx\tnumeric\n"
+           "feature\tsurface\tcategorical\nfeatures 0\n" +
            roots + "nodes 5\n" + root + "\n" + split + "\n" +
            "node\t-1\t0\t1\t-1\t-1\t0.75\t0\t0\t-1\t-\n"
            "node\t-1\t0\t1\t-1\t-1\t0.5\t0\t0\t-1\t-\n"
@@ -439,6 +440,16 @@ struct FlatText {
            "lm_pool 0\n";
   }
 };
+
+// Two single-leaf trees (0.75, then 0.25) of model kind `kind`.
+std::string TwoLeafText(const std::string& kind, const std::string& roots) {
+  return "roadmine-flat-model v1\nkind\t" + kind +
+         "\nsmoothing\t0\nfeatures 0\nfeatures 0\n" + roots +
+         "nodes 2\n"
+         "node\t-1\t0\t1\t-1\t-1\t0.75\t0\t0\t-1\t-\n"
+         "node\t-1\t0\t1\t-1\t-1\t0.25\t0\t0\t-1\t-\n"
+         "lm_pool 0\n";
+}
 
 TEST(ModelIoTest, FlatModelRejectsNodesThatDoNotFormTrees) {
   const data::Dataset ds = XSurfaceDataset();
@@ -455,9 +466,13 @@ TEST(ModelIoTest, FlatModelRejectsNodesThatDoNotFormTrees) {
   back_edge.split = "node\t1\t0\t0\t0\t4\t0\t0\t0\t-1\t01";
   FlatText shared_child;  // Both root children are node 1.
   shared_child.root = "node\t0\t5\t1\t1\t1\t0\t0\t0\t-1\t-";
+  // The multi-tree cases are ensembles: a single-tree kind must list one
+  // root (SingleTreeKindsRejectSeveralRoots).
   FlatText shared_root;  // Two trees on one root.
+  shared_root.kind = "bagged_trees";
   shared_root.roots = "roots 2\nroot\t0\nroot\t0\n";
   FlatText nested_root;  // A second tree rooted inside the first.
+  nested_root.kind = "bagged_trees";
   nested_root.roots = "roots 2\nroot\t0\nroot\t1\n";
   FlatText wide_root;  // Past int32: must not wrap to a negative index.
   wide_root.roots = "roots 1\nroot\t2147483648\n";
@@ -465,6 +480,7 @@ TEST(ModelIoTest, FlatModelRejectsNodesThatDoNotFormTrees) {
   first_root_past_zero.roots = "roots 1\nroot\t1\n";
   // Tree 0 is nodes 0-2, but node 1's children are tree 1's nodes 3 and 4.
   FlatText child_in_next_tree;
+  child_in_next_tree.kind = "bagged_trees";
   child_in_next_tree.roots = "roots 2\nroot\t0\nroot\t3\n";
   for (const FlatText& bad :
        {cycle, back_edge, shared_child, shared_root, nested_root, wide_root,
@@ -475,22 +491,14 @@ TEST(ModelIoTest, FlatModelRejectsNodesThatDoNotFormTrees) {
 
   // Two single-leaf bagged trees: tree t holds nodes [root t, root t+1),
   // so the roots must ascend.
-  const auto two_leaves = [](const std::string& roots) {
-    return "roadmine-flat-model v1\nkind\tbagged_trees\nsmoothing\t0\n"
-           "features 0\nfeatures 0\n" +
-           roots +
-           "nodes 2\n"
-           "node\t-1\t0\t1\t-1\t-1\t0.75\t0\t0\t-1\t-\n"
-           "node\t-1\t0\t1\t-1\t-1\t0.25\t0\t0\t-1\t-\n"
-           "lm_pool 0\n";
-  };
   auto ascending = FlatModel::Deserialize(
-      two_leaves("roots 2\nroot\t0\nroot\t1\n"), ds);
+      TwoLeafText("bagged_trees", "roots 2\nroot\t0\nroot\t1\n"), ds);
   ASSERT_TRUE(ascending.ok()) << ascending.status().ToString();
   EXPECT_EQ(*ascending->PredictRow(ds, 0), 0.5);
-  EXPECT_FALSE(
-      FlatModel::Deserialize(two_leaves("roots 2\nroot\t1\nroot\t0\n"), ds)
-          .ok());
+  EXPECT_FALSE(FlatModel::Deserialize(
+                   TwoLeafText("bagged_trees", "roots 2\nroot\t1\nroot\t0\n"),
+                   ds)
+                   .ok());
 
   // The same defect in a compiled model's own text: the root's children
   // rewritten to "0 0".
@@ -512,6 +520,20 @@ TEST(ModelIoTest, FlatModelRejectsNodesThatDoNotFormTrees) {
   parts[5] = "0";
   text.replace(line, length, util::Join(parts, "\t"));
   EXPECT_FALSE(FlatModel::Deserialize(text, road).ok());
+}
+
+// The single-tree kinds score tree 0 only, and M5's per-node arrays
+// cover tree 0 only, so their files must list exactly one root. Scoring
+// the first of several trees would silently drop the rest.
+TEST(ModelIoTest, SingleTreeKindsRejectSeveralRoots) {
+  const data::Dataset ds = XSurfaceDataset();
+  for (const char* kind : {"decision_tree", "regression_tree", "m5_tree"}) {
+    auto loaded = FlatModel::Deserialize(
+        TwoLeafText(kind, "roots 2\nroot\t0\nroot\t1\n"), ds);
+    ASSERT_FALSE(loaded.ok()) << kind;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << kind;
+  }
 }
 
 // One fit of every model format on one small road dataset, serialized.

@@ -141,5 +141,18 @@ TEST(QuantileTest, SortedOverloadEmptyAndSingle) {
   EXPECT_DOUBLE_EQ(QuantileSorted({7.0}, 0.25), 7.0);
 }
 
+TEST(QuantileTest, NearestRankPicksAnObservedValue) {
+  // Rank floor(p * (n - 1) + 0.5) of the ascending order, whatever the
+  // input order: 0 -> 10, 1 -> 20, 2 -> 30, 3 -> 40.
+  const std::vector<double> values = {40.0, 10.0, 30.0, 20.0};
+  EXPECT_EQ(NearestRankQuantile(values, 0.0), 10.0);
+  EXPECT_EQ(NearestRankQuantile(values, 0.5), 30.0);  // Rank 2 (1.5 + 0.5).
+  EXPECT_EQ(NearestRankQuantile(values, 0.49), 20.0);
+  EXPECT_EQ(NearestRankQuantile(values, 0.99), 40.0);
+  EXPECT_EQ(NearestRankQuantile(values, 1.0), 40.0);
+  EXPECT_EQ(NearestRankQuantile({7.0}, 0.99), 7.0);
+  EXPECT_EQ(NearestRankQuantile({}, 0.5), 0.0);
+}
+
 }  // namespace
 }  // namespace roadmine::stats
