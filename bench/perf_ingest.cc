@@ -171,7 +171,7 @@ bool RunInstrumentedPass(bench::BenchContext& ctx, const std::string& dir,
       static_cast<double>(emitted) / (paged_train_ms / 1000.0));
 
   serve::ScoringService service(
-      serve::ScoringServiceOptions{.executor = ctx.executor()});
+      serve::ScoringServiceOptions{.executor = ctx.executor(), .slo = {}});
   if (!service.Register("crash_prone", "v1", paged_model).ok()) return false;
   std::vector<serve::PagedScore> paged_top;
   core::WorksProgram paged_program;

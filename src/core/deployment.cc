@@ -62,7 +62,7 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
   auto count_idx = schema.ColumnIndex(roadgen::kSegmentCrashCountColumn);
   if (!count_idx.ok()) return count_idx.status();
 
-  // The row count fixes the decile — and with it both decile heap bounds
+  // The row count fixes the decile — and with it both decile list bounds
   // — before any scoring. Trust the source's hint; spend a counting pass
   // when it has none.
   uint64_t total = 0;
@@ -79,8 +79,8 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
   }
   if (total == 0) return InvalidArgumentError("no segments");
 
-  // Two decile heaps of (row, key) pairs decide the agreement; program
-  // lines are assembled only for rows that enter the line heap.
+  // Two decile lists of (key, row) pairs decide the agreement; program
+  // lines are assembled only for rows the line list admits.
   const size_t decile = std::max<size_t>(1, static_cast<size_t>(total / 10));
   const size_t keep_lines = config.max_segments == 0
                                 ? static_cast<size_t>(total)
@@ -124,18 +124,18 @@ Result<WorksProgram> BuildWorksProgramPaged(data::RowSource& segments,
     return util::DataLossError("row source changed size between passes");
   }
 
-  // The decile heaps hold the top decile by probability and by observed
-  // count, in heap order; the agreement is the size of their overlap.
-  std::vector<uint64_t> count_decile_rows;
-  count_decile_rows.reserve(by_count.entries().size());
-  for (const auto& entry : by_count.entries()) {
-    count_decile_rows.push_back(entry.row);
-  }
-  std::sort(count_decile_rows.begin(), count_decile_rows.end());
+  // The decile lists hold the top decile by probability and by observed
+  // count; the agreement is the size of their overlap. The count
+  // survivors are sorted by row in place to be searched.
+  auto by_row = [](const util::RankKey& a, const util::RankKey& b) {
+    return a.row < b.row;
+  };
+  auto count_decile = std::move(by_count).Survivors();
+  std::sort(count_decile.begin(), count_decile.end(), by_row);
   size_t overlap = 0;
-  for (const auto& entry : by_probability.entries()) {
-    overlap += std::binary_search(count_decile_rows.begin(),
-                                  count_decile_rows.end(), entry.row)
+  for (const auto& entry : std::move(by_probability).Survivors()) {
+    overlap += std::binary_search(count_decile.begin(), count_decile.end(),
+                                  entry, by_row)
                    ? 1
                    : 0;
   }

@@ -56,17 +56,19 @@ struct DeploymentConfig {
 // The works-program engine. Scores `segments` one chunk at a time through
 // the model's batch path (any ml::Predictor: a trained model, a loaded
 // one, or a compiled serve::FlatModel) and ranks from three bounded
-// util::TopK heaps: two of rows/10 bare (row, key) pairs for the
+// util::TopK lists: two of rows/10 bare (key, row) pairs for the
 // top-decile agreement (by probability, by observed count) and one of
-// config.max_segments program lines. Memory use is one chunk plus
-// 2 x decile pairs plus max_segments lines, never the whole network. A
-// line (id, counts, treatments) is assembled only for a row that enters
-// the line heap. Every heap ranks by util::TopK's order (key descending,
-// row ascending), a total order, so the program is the same for any
-// chunking of the same rows. With max_segments == 0 every row is listed,
-// so that configuration is inherently O(rows); give a cap for out-of-core
-// use. Sources without a TotalRowsHint() cost one extra counting pass to
-// fix the decile size up front.
+// config.max_segments program lines. Each list buffers at most its
+// bound plus max(1, bound / 4) entries before cutting back, so memory use
+// is one chunk plus ~2.5 x decile pairs plus ~1.25 x max_segments lines,
+// never the whole network. A line (id, counts, treatments) is assembled only for a
+// row the line list admits. Every list ranks by util::TopK's order (key
+// descending with NaN — a missing count — last, row ascending), a total
+// order, so the program is the same for any chunking of the same rows.
+// With max_segments == 0 every row is listed, so that configuration is
+// inherently O(rows); give a cap for out-of-core use. Sources without a
+// TotalRowsHint() cost one extra counting pass to fix the decile size up
+// front.
 [[nodiscard]] util::Result<WorksProgram> BuildWorksProgramPaged(
     data::RowSource& segments, const ml::Predictor& model,
     const DeploymentConfig& config = {});

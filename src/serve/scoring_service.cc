@@ -157,9 +157,10 @@ Result<std::vector<PagedScore>> ScoringService::ScorePaged(
     total_rows += n;
   }
 
+  const auto survivors = std::move(best).BestFirst();
   std::vector<PagedScore> ranked;
-  ranked.reserve(best.entries().size());
-  for (const auto& survivor : std::move(best).BestFirst()) {
+  ranked.reserve(survivors.size());
+  for (const auto& survivor : survivors) {
     ranked.push_back({survivor.row, survivor.key});
   }
   metrics.GetCounter("serve.rows_scored").Increment(total_rows);

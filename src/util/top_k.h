@@ -1,19 +1,23 @@
 // The one ranking order behind every top-K list in roadmine, and the
-// bounded heap that keeps such a list while a stream goes by.
+// bounded buffer that keeps such a list while a stream goes by.
 //
-// Order: a higher key ranks first; equal keys rank by row, lower first.
-// Rows are unique within a stream, so this is a total order and a top-K
-// list depends only on the stream's contents — never on its chunking or
-// on the thread count that produced the keys. ScoringService::ScorePaged
-// keeps its top k with TopK, and the works-program engine
-// (core::BuildWorksProgramPaged) its program lines and both top-decile
-// sets.
+// Order: a higher key ranks first; NaN ranks after every number (a NaN
+// key is data::Column's missing value). Equal keys — 0.0 and -0.0 among
+// them, and any two NaNs — rank by row, lower first. Rows are unique
+// within a stream, so this is a total order over every double, and a
+// top-K list depends only on the stream's contents — never on its
+// chunking or on the thread count that produced the keys.
+// ScoringService::ScorePaged keeps its top k with TopK, and the
+// works-program engine (core::BuildWorksProgramPaged) its program lines
+// and both top-decile sets.
 #ifndef ROADMINE_UTIL_TOP_K_H_
 #define ROADMINE_UTIL_TOP_K_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -28,9 +32,14 @@ struct RankKey {
 // Payload of a TopK that keeps bare (key, row) pairs.
 struct NoPayload {};
 
-// The best `capacity` entries offered so far, as a heap with the worst
-// survivor at the front, where eviction wants it. Storage grows with the
-// survivors; nothing is reserved from `capacity`.
+// The best `capacity` entries offered so far. Entrants are appended to a
+// buffer of at most capacity + max(1, capacity / 4) entries (saturating,
+// so any capacity up to SIZE_MAX is valid); when it fills, one
+// std::nth_element cuts it back to the best `capacity`, and the worst of
+// those becomes the cut that Admits() tests against. Storage grows with
+// the buffer; nothing is reserved from `capacity`. Between cuts the
+// buffer also holds entries the next cut drops, so Admits() may accept
+// an entry that does not survive.
 template <typename Payload = NoPayload>
 class TopK {
  public:
@@ -38,22 +47,18 @@ class TopK {
     [[no_unique_address]] Payload payload;
   };
 
-  explicit TopK(size_t capacity) : capacity_(capacity) {}
+  explicit TopK(size_t capacity)
+      : capacity_(capacity), limit_(BufferLimit(capacity)) {}
 
-  // Whether an entry ranked `rank` would be kept.
+  // Whether an entry ranked `rank` may be among the best `capacity`.
   bool Admits(const RankKey& rank) const {
-    return entries_.size() < capacity_ ||
-           (capacity_ > 0 && Ahead()(rank, entries_.front()));
+    return capacity_ > 0 && (!has_cut_ || Ahead()(rank, cut_));
   }
 
-  // Keeps an entry Admits() accepted, evicting the worst when full.
+  // Keeps an entry Admits() accepted, cutting the buffer when it fills.
   void Insert(const RankKey& rank, Payload payload = {}) {
-    if (entries_.size() == capacity_) {
-      std::pop_heap(entries_.begin(), entries_.end(), Ahead());
-      entries_.pop_back();
-    }
     entries_.push_back(Entry{rank, std::move(payload)});
-    std::push_heap(entries_.begin(), entries_.end(), Ahead());
+    if (entries_.size() == limit_) Cut();
   }
 
   // Admits() then Insert() with a default payload.
@@ -61,26 +66,54 @@ class TopK {
     if (Admits(rank)) Insert(rank);
   }
 
-  // The survivors, in heap order.
-  const std::vector<Entry>& entries() const { return entries_; }
+  // The survivors, in no particular order.
+  std::vector<Entry> Survivors() && {
+    if (entries_.size() > capacity_) Cut();
+    return std::move(entries_);
+  }
 
   // The survivors, best first.
   std::vector<Entry> BestFirst() && {
-    std::sort_heap(entries_.begin(), entries_.end(), Ahead());
+    if (entries_.size() > capacity_) Cut();
+    std::sort(entries_.begin(), entries_.end(), Ahead());
     return std::move(entries_);
   }
 
  private:
-  // The ranking order: whether `a` ranks ahead of `b`. As the heap's
-  // "less than" it parks the worst survivor at the front.
+  // The ranking order: whether `a` ranks ahead of `b`. A strict weak
+  // order over every double, as nth_element and sort require.
   struct Ahead {
     bool operator()(const RankKey& a, const RankKey& b) const {
-      if (a.key != b.key) return a.key > b.key;
+      if (a.key > b.key) return true;
+      if (a.key < b.key) return false;
+      // Equal keys, or at least one NaN.
+      const bool a_nan = std::isnan(a.key);
+      if (a_nan != std::isnan(b.key)) return !a_nan;
       return a.row < b.row;
     }
   };
 
+  static size_t BufferLimit(size_t capacity) {
+    const size_t slack = std::max<size_t>(1, capacity / 4);
+    return capacity > std::numeric_limits<size_t>::max() - slack
+               ? std::numeric_limits<size_t>::max()
+               : capacity + slack;
+  }
+
+  // Keeps the best `capacity_` entries and takes the worst of them as the
+  // cut. Only called with more than `capacity_` (> 0) entries buffered.
+  void Cut() {
+    const auto worst = entries_.begin() + (capacity_ - 1);
+    std::nth_element(entries_.begin(), worst, entries_.end(), Ahead());
+    entries_.erase(worst + 1, entries_.end());
+    cut_ = *worst;
+    has_cut_ = true;
+  }
+
   size_t capacity_;
+  size_t limit_;
+  bool has_cut_ = false;
+  RankKey cut_;
   std::vector<Entry> entries_;
 };
 

@@ -1,5 +1,9 @@
 #include "core/deployment.h"
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "roadgen/dataset_builder.h"
@@ -22,7 +26,7 @@ data::Dataset SegmentInventory(size_t n = 4000, uint64_t seed = 17) {
 
 // A model that reads the observed count — a perfect oracle for testing
 // the ranking plumbing. It scores c / (c + offset): monotone in the count
-// and in [0, 1).
+// and in [0, 1). A missing count scores 0.
 class OraclePredictor : public ml::Predictor {
  public:
   explicit OraclePredictor(double offset = 4.0) : offset_(offset) {}
@@ -36,7 +40,7 @@ class OraclePredictor : public ml::Predictor {
     out.reserve(rows.size());
     for (size_t row : rows) {
       const double c = (*count)->NumericAt(row);
-      out.push_back(c / (c + offset_));
+      out.push_back(std::isnan(c) ? 0.0 : c / (c + offset_));
     }
     return out;
   }
@@ -62,6 +66,31 @@ TEST(DeploymentTest, OracleGetsPerfectTopDecileAgreement) {
   auto program = BuildWorksProgram(ds, OraclePredictor());
   ASSERT_TRUE(program.ok());
   EXPECT_NEAR(program->top_decile_agreement, 1.0, 1e-12);
+}
+
+TEST(DeploymentTest, MissingObservedCountsRankLast) {
+  // A blank count cell reads as NaN, data::Column's missing value. With
+  // the first rows' counts missing, a NaN enters the count decile first;
+  // it must rank after every observed count, not stall the list.
+  data::Dataset ds = SegmentInventory();
+  auto column = ds.ColumnByName(roadgen::kSegmentCrashCountColumn);
+  ASSERT_TRUE(column.ok());
+  std::vector<double> counts(ds.num_rows());
+  for (size_t row = 0; row < counts.size(); ++row) {
+    counts[row] = row < 3 ? std::numeric_limits<double>::quiet_NaN()
+                          : (*column)->NumericAt(row);
+  }
+  ASSERT_TRUE(ds.ReplaceColumn(data::Column::Numeric(
+                                   roadgen::kSegmentCrashCountColumn, counts))
+                  .ok());
+
+  auto program = BuildWorksProgram(ds, OraclePredictor());
+  ASSERT_TRUE(program.ok());
+  EXPECT_NEAR(program->top_decile_agreement, 1.0, 1e-12);
+  ASSERT_FALSE(program->segments.empty());
+  for (const RankedSegment& s : program->segments) {
+    EXPECT_FALSE(std::isnan(s.observed_crash_count)) << s.segment_id;
+  }
 }
 
 TEST(DeploymentTest, RespectsMaxSegmentsAndFloor) {

@@ -132,7 +132,7 @@ std::unique_ptr<Predictor> FitPredictor(const std::string& learner,
   if (learner == "regression_tree") return fitted(RegressionTree());
   if (learner == "m5_tree") return fitted(M5Tree());
   if (learner == "bagged_trees") {
-    return fitted(BaggedTreesClassifier(BaggedTreesParams{.num_trees = 3}));
+    return fitted(BaggedTreesClassifier(BaggedTreesParams{.num_trees = 3, .tree = {}}));
   }
   if (learner == "gradient_boosted_trees") {
     return fitted(

@@ -25,8 +25,7 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-std::vector<FeatureRef> NumericFeature(const data::Dataset& ds, size_t col,
-                                       const std::string& name) {
+std::vector<FeatureRef> NumericFeature(size_t col, const std::string& name) {
   return {FeatureRef{col, data::ColumnType::kNumeric, name}};
 }
 
@@ -52,7 +51,7 @@ TEST(HistogramIndexTest, HeavilyTiedColumnCollapsesToFewBins) {
   for (size_t i = 0; i < 1000; ++i) x.push_back(static_cast<double>(i % 3));
   data::Dataset ds;
   ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
-  auto index = HistogramIndex::Build(ds, NumericFeature(ds, 0, "x"),
+  auto index = HistogramIndex::Build(ds, NumericFeature(0, "x"),
                                      ds.AllRowIndices(), {.max_bins = 256});
   ASSERT_TRUE(index.ok());
   const HistogramIndex::FeatureBins& bins = index->ColumnBins(0);
@@ -72,7 +71,7 @@ TEST(HistogramIndexTest, CutValuesComeFromBuildRowsOnly) {
                                         std::vector<double>{-0.0, 0.0, 1.0}}) {
     data::Dataset ds;
     ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
-    const std::vector<FeatureRef> features = NumericFeature(ds, 0, "x");
+    const std::vector<FeatureRef> features = NumericFeature(0, "x");
     auto feature_index = FeatureIndex::Build(ds, features);
     ASSERT_TRUE(feature_index.ok());
     for (const FeatureIndex* ranks :
@@ -95,7 +94,7 @@ TEST(HistogramIndexTest, AllMissingColumnIsConstantWithMissingCodes) {
   data::Dataset ds;
   ASSERT_TRUE(
       ds.AddColumn(data::Column::Numeric("x", {kNaN, kNaN, kNaN, kNaN})).ok());
-  auto index = HistogramIndex::Build(ds, NumericFeature(ds, 0, "x"),
+  auto index = HistogramIndex::Build(ds, NumericFeature(0, "x"),
                                      ds.AllRowIndices(), {.max_bins = 8});
   ASSERT_TRUE(index.ok());
   const HistogramIndex::FeatureBins& bins = index->ColumnBins(0);
@@ -112,7 +111,7 @@ TEST(HistogramIndexTest, ConstantColumnIsFlaggedAndNeverSplit) {
   data::Dataset ds;
   ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", x)).ok());
   ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("y", y)).ok());
-  auto index = HistogramIndex::Build(ds, NumericFeature(ds, 0, "x"),
+  auto index = HistogramIndex::Build(ds, NumericFeature(0, "x"),
                                      ds.AllRowIndices(), {.max_bins = 8});
   ASSERT_TRUE(index.ok());
   EXPECT_TRUE(index->ColumnBins(0).constant);
@@ -129,10 +128,10 @@ TEST(HistogramIndexTest, ConstantColumnIsFlaggedAndNeverSplit) {
 TEST(HistogramIndexTest, RejectsOutOfRangeBinCounts) {
   data::Dataset ds;
   ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", {1.0, 2.0})).ok());
-  EXPECT_FALSE(HistogramIndex::Build(ds, NumericFeature(ds, 0, "x"),
+  EXPECT_FALSE(HistogramIndex::Build(ds, NumericFeature(0, "x"),
                                      ds.AllRowIndices(), {.max_bins = 1})
                    .ok());
-  EXPECT_FALSE(HistogramIndex::Build(ds, NumericFeature(ds, 0, "x"),
+  EXPECT_FALSE(HistogramIndex::Build(ds, NumericFeature(0, "x"),
                                      ds.AllRowIndices(), {.max_bins = 70000})
                    .ok());
 }
@@ -141,7 +140,7 @@ TEST(HistogramIndexTest, RejectsFeaturesThatDoNotMatchTheColumns) {
   data::Dataset ds;
   ASSERT_TRUE(ds.AddColumn(data::Column::Numeric("x", {1.0, 2.0})).ok());
   const std::vector<size_t> rows = ds.AllRowIndices();
-  EXPECT_EQ(HistogramIndex::Build(ds, NumericFeature(ds, 1, "y"), rows)
+  EXPECT_EQ(HistogramIndex::Build(ds, NumericFeature(1, "y"), rows)
                 .status()
                 .code(),
             util::StatusCode::kInvalidArgument);
@@ -278,7 +277,7 @@ TEST(HistogramDeterminismTest, TreeBitIdenticalSerialVsThreaded) {
 
 TEST(HistogramIndexTest, SharedIndexMatchesPrivateBuild) {
   data::Dataset ds = ThresholdDataset(400, 14);
-  std::vector<FeatureRef> features = NumericFeature(ds, 0, "x");
+  std::vector<FeatureRef> features = NumericFeature(0, "x");
   auto shared = HistogramIndex::Build(ds, features, ds.AllRowIndices(),
                                       {.max_bins = 64});
   ASSERT_TRUE(shared.ok());

@@ -179,7 +179,9 @@ TEST(QuantileSketchTest, CompactedRegimeIsDeterministic) {
   // Cuts are real data values, sorted strictly ascending.
   for (size_t i = 0; i < cuts_a.size(); ++i) {
     EXPECT_EQ(cuts_a[i], static_cast<double>(static_cast<int>(cuts_a[i])));
-    if (i > 0) EXPECT_LT(cuts_a[i - 1], cuts_a[i]);
+    if (i > 0) {
+      EXPECT_LT(cuts_a[i - 1], cuts_a[i]);
+    }
   }
 }
 

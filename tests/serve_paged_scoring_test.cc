@@ -1,10 +1,13 @@
 // Streaming scoring: ScorePaged over a chunked RowSource must equal
 // scoring the materialized table and taking its top k, at any thread
 // count; the works-program engine, through both of its entry points,
-// must equal a full-sort oracle for any chunking.
+// must equal a full-sort oracle for any chunking. NaN scores and
+// missing (NaN) counts rank last.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -55,8 +58,67 @@ Fixture TrainedFixture() {
   return Fixture{*std::move(ds), std::move(model)};
 }
 
+// The ranking order every oracle here sorts by: key descending with NaN
+// after every number, then row ascending.
+bool RanksAhead(double a_key, uint64_t a_row, double b_key, uint64_t b_row) {
+  if (std::isnan(a_key) != std::isnan(b_key)) return std::isnan(b_key);
+  if (!std::isnan(a_key) && a_key != b_key) return a_key > b_key;
+  return a_row < b_row;
+}
+
+// Equal values, counting NaN equal to NaN.
+void ExpectSameValue(double got, double want) {
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << got;
+  } else {
+    EXPECT_EQ(got, want);
+  }
+}
+
+// A model that scores NaN on the rows whose segment id is listed and
+// defers to `inner` elsewhere: a scorer that cannot rate some segments.
+class NanOnIds : public ml::Predictor {
+ public:
+  NanOnIds(std::shared_ptr<const ml::Predictor> inner, std::set<int64_t> ids)
+      : inner_(std::move(inner)), ids_(std::move(ids)) {}
+
+  util::Result<std::vector<double>> PredictBatch(
+      const data::Dataset& ds,
+      const std::vector<size_t>& rows) const override {
+    auto scores = inner_->PredictBatch(ds, rows);
+    if (!scores.ok()) return scores.status();
+    auto ids = ds.ColumnByName(roadgen::kSegmentIdColumn);
+    if (!ids.ok()) return ids.status();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (ids_.count(static_cast<int64_t>((*ids)->NumericAt(rows[i])))) {
+        (*scores)[i] = std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+    return scores;
+  }
+  const char* name() const override { return "nan_on_ids"; }
+
+ private:
+  std::shared_ptr<const ml::Predictor> inner_;
+  std::set<int64_t> ids_;
+};
+
+// The fixture's model with NaN scores on the first two rows and every
+// seventh row after them.
+std::shared_ptr<const ml::Predictor> NanScoringModel(const Fixture& fx) {
+  auto ids = fx.table.ColumnByName(roadgen::kSegmentIdColumn);
+  EXPECT_TRUE(ids.ok());
+  std::set<int64_t> blank;
+  for (size_t row = 0; row < fx.table.num_rows(); ++row) {
+    if (row < 2 || row % 7 == 0) {
+      blank.insert(static_cast<int64_t>((*ids)->NumericAt(row)));
+    }
+  }
+  return std::make_shared<NanOnIds>(fx.model, std::move(blank));
+}
+
 // The ground truth ScorePaged promises: score everything in RAM, order
-// by (score desc, row asc), keep k.
+// by (score desc with NaN last, row asc), keep k.
 std::vector<PagedScore> InRamTopK(const ScoringService& service,
                                   const data::Dataset& table, size_t k) {
   auto scores =
@@ -68,8 +130,7 @@ std::vector<PagedScore> InRamTopK(const ScoringService& service,
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const PagedScore& a, const PagedScore& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.row < b.row;
+              return RanksAhead(a.score, a.row, b.score, b.row);
             });
   if (ranked.size() > k) ranked.resize(k);
   return ranked;
@@ -79,8 +140,9 @@ void ExpectSameRanking(const std::vector<PagedScore>& got,
                        const std::vector<PagedScore>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].row, want[i].row) << "rank " << i;
-    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+    SCOPED_TRACE(::testing::Message() << "rank " << i);
+    EXPECT_EQ(got[i].row, want[i].row);
+    ExpectSameValue(got[i].score, want[i].score);
   }
 }
 
@@ -118,7 +180,7 @@ TEST(ScorePagedTest, ThreadedPagesMatchSerial) {
 
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     exec::ThreadPool pool(threads);
-    ScoringService service({.executor = &pool});
+    ScoringService service({.executor = &pool, .slo = {}});
     ASSERT_TRUE(service.Register("crash", "v1", fx.model).ok());
     data::PagedDataset::PageStream stream = paged->Pages(&pool);
     auto got = service.ScorePaged("crash", "", stream, 40);
@@ -136,6 +198,26 @@ TEST(ScorePagedTest, TopKPastStreamLengthReturnsEveryRowRanked) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->size(), fx.table.num_rows());
   ExpectSameRanking(*got, InRamTopK(service, fx.table, fx.table.num_rows()));
+}
+
+TEST(ScorePagedTest, NanScoresRankLast) {
+  // The first row scores NaN, so a NaN enters the top-k list first; it
+  // must rank after every number instead of stalling the list.
+  const Fixture fx = TrainedFixture();
+  ScoringService service;
+  ASSERT_TRUE(service.Register("crash", "v1", NanScoringModel(fx)).ok());
+  for (const size_t k : {size_t{25}, fx.table.num_rows()}) {
+    const auto want = InRamTopK(service, fx.table, k);
+    ASSERT_TRUE(std::isnan(want.back().score) == (k == fx.table.num_rows()));
+    for (const size_t chunk_rows : {size_t{1}, size_t{33}, size_t{4096}}) {
+      SCOPED_TRACE(::testing::Message() << "k " << k << " chunk " << chunk_rows);
+      data::DatasetSource source(fx.table, fx.table.AllRowIndices(),
+                                 chunk_rows);
+      auto got = service.ScorePaged("crash", "v1", source, k);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameRanking(*got, want);
+    }
+  }
 }
 
 TEST(ScorePagedTest, RejectsZeroTopKAndUnknownModels) {
@@ -169,8 +251,7 @@ core::WorksProgram OracleProgram(const data::Dataset& table,
     std::vector<size_t> order(n);
     std::iota(order.begin(), order.end(), size_t{0});
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (key(a) != key(b)) return key(a) > key(b);
-      return a < b;
+      return RanksAhead(key(a), a, key(b), b);
     });
     return order;
   };
@@ -212,10 +293,10 @@ void ExpectSameProgram(const core::WorksProgram& got,
   ASSERT_EQ(got.segments.size(), want.segments.size());
   for (size_t i = 0; i < got.segments.size(); ++i) {
     EXPECT_EQ(got.segments[i].segment_id, want.segments[i].segment_id);
-    EXPECT_EQ(got.segments[i].crash_prone_probability,
-              want.segments[i].crash_prone_probability);
-    EXPECT_EQ(got.segments[i].observed_crash_count,
-              want.segments[i].observed_crash_count);
+    ExpectSameValue(got.segments[i].crash_prone_probability,
+                    want.segments[i].crash_prone_probability);
+    ExpectSameValue(got.segments[i].observed_crash_count,
+                    want.segments[i].observed_crash_count);
     if (compare_treatments) {
       EXPECT_EQ(got.segments[i].recommended_treatments,
                 want.segments[i].recommended_treatments);
@@ -238,24 +319,24 @@ class UnsizedSource : public data::RowSource {
 
 // Both entry points against the oracle, over in-RAM chunkings and a
 // source without a row-count hint, and against each other on treatments.
-void ExpectOracleProgram(const Fixture& fx,
+void ExpectOracleProgram(const data::Dataset& table,
+                         const ml::Predictor& model,
                          const core::DeploymentConfig& config) {
-  const core::WorksProgram want = OracleProgram(fx.table, *fx.model, config);
-  auto in_ram = core::BuildWorksProgram(fx.table, *fx.model, config);
+  const core::WorksProgram want = OracleProgram(table, model, config);
+  auto in_ram = core::BuildWorksProgram(table, model, config);
   ASSERT_TRUE(in_ram.ok()) << in_ram.status().ToString();
   ExpectSameProgram(*in_ram, want, /*compare_treatments=*/false);
 
   for (const size_t chunk_rows : {size_t{17}, size_t{128}}) {
-    data::DatasetSource source(fx.table, fx.table.AllRowIndices(),
-                               chunk_rows);
-    auto got = core::BuildWorksProgramPaged(source, *fx.model, config);
+    data::DatasetSource source(table, table.AllRowIndices(), chunk_rows);
+    auto got = core::BuildWorksProgramPaged(source, model, config);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectSameProgram(*got, want, /*compare_treatments=*/false);
     ExpectSameProgram(*got, *in_ram, /*compare_treatments=*/true);
 
     UnsizedSource unsized(source);
     ASSERT_FALSE(unsized.TotalRowsHint().has_value());
-    auto counted = core::BuildWorksProgramPaged(unsized, *fx.model, config);
+    auto counted = core::BuildWorksProgramPaged(unsized, model, config);
     ASSERT_TRUE(counted.ok()) << counted.status().ToString();
     ExpectSameProgram(*counted, want, /*compare_treatments=*/false);
     ExpectSameProgram(*counted, *in_ram, /*compare_treatments=*/true);
@@ -273,7 +354,7 @@ TEST(BuildWorksProgramPagedTest, ReproducesTheInRamProgram) {
     config.max_segments = max_segments;
     ASSERT_EQ(OracleProgram(fx.table, *fx.model, config).segments.size(),
               std::min<size_t>(max_segments, 400));
-    ExpectOracleProgram(fx, config);
+    ExpectOracleProgram(fx.table, *fx.model, config);
   }
 }
 
@@ -286,7 +367,34 @@ TEST(BuildWorksProgramPagedTest, HonorsMaxSegmentsZeroAndFloors) {
       OracleProgram(fx.table, *fx.model, config).segments.size();
   ASSERT_GT(listed, 0u);
   ASSERT_LT(listed, fx.table.num_rows());  // The floor drops some rows.
-  ExpectOracleProgram(fx, config);
+  ExpectOracleProgram(fx.table, *fx.model, config);
+}
+
+TEST(BuildWorksProgramPagedTest, NanScoresAndMissingCountsRankLast) {
+  // NaN scores on the first rows and every seventh, and blank (NaN)
+  // counts on the first three rows and every eleventh: both decile lists
+  // and the line list meet a NaN first.
+  const Fixture fx = TrainedFixture();
+  data::Dataset table = fx.table;
+  auto column = table.ColumnByName(roadgen::kSegmentCrashCountColumn);
+  ASSERT_TRUE(column.ok());
+  std::vector<double> counts(table.num_rows());
+  for (size_t row = 0; row < counts.size(); ++row) {
+    counts[row] = row < 3 || row % 11 == 0
+                      ? std::numeric_limits<double>::quiet_NaN()
+                      : (*column)->NumericAt(row);
+  }
+  ASSERT_TRUE(table
+                  .ReplaceColumn(data::Column::Numeric(
+                      roadgen::kSegmentCrashCountColumn, counts))
+                  .ok());
+  const auto model = NanScoringModel(fx);
+  for (const size_t max_segments : {size_t{1}, size_t{40}, size_t{0}}) {
+    SCOPED_TRACE(max_segments);
+    core::DeploymentConfig config;
+    config.max_segments = max_segments;
+    ExpectOracleProgram(table, *model, config);
+  }
 }
 
 }  // namespace

@@ -116,8 +116,8 @@ std::string HostileDocument() {
   text += "emoji,\xF0\x9F\x9A\x97 road,3\n";           // 4-byte UTF-8.
   text += "\"q\",,4\r\n";                              // Empty field, CRLF.
   for (int i = 0; i < 40; ++i) {
-    text += "r" + std::to_string(i) + ",\"v,\"\"" + std::to_string(i) +
-            "\"\"\",\xC3\xA9" + std::to_string(i) + "\n";
+    const std::string n = std::to_string(i);
+    text += "r" + n + ",\"v,\"\"" + n + "\"\"\",\xC3\xA9" + n + "\n";
   }
   return text;
 }
